@@ -2,7 +2,7 @@
 
 Usage::
 
-    cantorscale --config experiment.json --out results/ [--threads N]
+    cantorscale --config experiment.json --out results/
 
 The config is a single JSON document::
 
@@ -33,7 +33,7 @@ import numpy as np
 from . import branches, dimension, geometry, scaling
 from .errors import CantorScaleError, ConvergenceError
 from .families import family_from_spec
-from .symbolic import Code, DualPoint, parse_dual_point
+from .symbolic import DualPoint, parse_dual_point
 
 COMMANDS = ("partition", "scaling-graph", "scaling-point", "gap-fit",
             "dimension-curve", "metric-check", "distortion-check",
@@ -131,9 +131,11 @@ class Experiment:
 
     def cmd_partition(self) -> str:
         part = branches.partition(self.family, self.eps, self.depth)
-        rows = [(str(part.word(i)), float(part.los[i]), float(part.his[i]),
-                 float(part.his[i] - part.los[i]), part.word(i).parity)
-                for i in range(len(part))]
+        width = part.word_length
+        rows = [(format(i, f"0{width}b"), lo, hi, length,
+                 -1 if i.bit_count() % 2 else 1)
+                for i, (lo, hi, length) in enumerate(zip(
+                    part.los.tolist(), part.his.tolist(), part.lengths.tolist()))]
         _write_csv(self.path(".csv"), ["word", "lo", "hi", "length",
                                        "orientation"], rows)
         return (f"partition depth={self.depth} cells={len(part)} "
@@ -293,9 +295,6 @@ def main(argv=None) -> int:
         description="Cantor-set geometry experiments for unimodal map families")
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="artifact output directory")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads (0 = auto); computations are "
-                             "pure, current implementation runs sequentially")
     args = parser.parse_args(argv)
 
     try:

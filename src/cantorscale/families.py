@@ -21,6 +21,14 @@ Built-in presets:
   the map is genuinely asymmetric at the critical point.
 
 All evaluation methods accept scalars or numpy arrays.
+
+Every preset inverts its two branches in closed form.  The power-law
+presets (quadratic, gamma_power, tent) take the ``gamma``-th root of
+``(1 + eps - y) / (2 + eps)``.  Figure6 and asym_quadratic are quadratics
+in ``u = x^2``, ``A u^2 + B u = C`` with ``C`` the critical value minus
+``y``, and take the cancellation-free root ``u = 2C / (B + sqrt(B^2 +
+4AC))``, then ``x = -sqrt(u)`` on the left branch and ``+sqrt(u)`` on the
+right.
 """
 
 from __future__ import annotations
@@ -76,8 +84,13 @@ class MapFamily:
 
     def check_domain(self, x) -> None:
         lo, hi = self.domain
-        x = np.asarray(x)
-        if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+        if isinstance(x, (float, np.floating)):
+            # scalar fast path; NaN passes here as in the array test
+            outside = x < lo - 1e-12 or x > hi + 1e-12
+        else:
+            x = np.asarray(x)
+            outside = np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12)
+        if outside:
             raise DomainError(f"{self.kind}: point outside [{lo}, {hi}]")
 
     # -- core evaluations (subclasses override the raw forms) -------------
@@ -128,72 +141,38 @@ class MapFamily:
     def inverse_branch(self, eps: float, side: int, y):
         """The unique preimage of y on [lo, 0] (side 0) or [0, hi] (side 1).
 
-        Safeguarded bisection-Newton hybrid: the bisection bracket is always
-        maintained and a Newton step is accepted only when it lands inside
-        the bracket.  Subclasses with closed-form inverses override this.
-        Absolute tolerance 1e-13 on x.
+        Every preset inverts in closed form.  The power-law presets take a
+        root of ``(crit - y) / (2 + eps)``; Figure6 and AsymQuadratic are
+        quadratics in ``u = x^2`` and use the cancellation-free root of
+        ``_even_quartic_root``.  Vectorized over y.
         """
         eps = self.check_param(eps)
         self.check_domain(y)
-        return self._inverse_numeric(eps, side, y)
-
-    def _inverse_numeric(self, eps: float, side: int, y):
-        y_arr = np.asarray(y, dtype=float)
-        scalar = y_arr.ndim == 0
-        y_arr = np.atleast_1d(y_arr)
-        dlo, dhi = self.domain
-        if side == 0:
-            lo = np.full_like(y_arr, dlo)
-            hi = np.zeros_like(y_arr)
-            increasing = True
-        elif side == 1:
-            lo = np.zeros_like(y_arr)
-            hi = np.full_like(y_arr, dhi)
-            increasing = False
-        else:
+        if side not in (0, 1):
             raise ValueError(f"side must be 0 or 1, got {side}")
+        return self._inverse(eps, side, y)
 
-        x = 0.5 * (lo + hi)
-        tol = 1e-13
-        for _ in range(200):
-            # freeze converged elements so each result depends only on its
-            # own input, not on what else shares the array (nested-cylinder
-            # telescoping needs bit-for-bit reproducible endpoints)
-            active = (hi - lo) >= tol
-            if not np.any(active):
-                break
-            fx = self._eval_raw(eps, x) - y_arr
-            go_right = (fx < 0) if increasing else (fx > 0)
-            lo = np.where(active & go_right, x, lo)
-            hi = np.where(active & ~go_right, x, hi)
-            mid = 0.5 * (lo + hi)
-            d = self._deriv_raw(eps, x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xn = x - fx / d
-            inside = np.isfinite(xn) & (xn > lo) & (xn < hi)
-            x = np.where(active, np.where(inside, xn, mid), x)
-        else:
-            raise _tolerance_error(self.kind)
-        x = 0.5 * (lo + hi)
-        # Newton polish: the bracket tolerance is absolute, which is poor in
-        # relative terms for roots near 0; a few unguarded steps recover
-        # relative accuracy (at the critical value itself fx/d -> nan and
-        # the bracket midpoint is kept).
-        for _ in range(3):
-            fx = self._eval_raw(eps, x) - y_arr
-            d = self._deriv_raw(eps, x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xn = x - fx / d
-            ok = np.isfinite(xn) & (xn >= dlo) & (xn <= dhi)
-            x = np.where(ok, xn, x)
-        # at the critical value the root is the critical point exactly, but
-        # f' -> 0 leaves the solvers with square-root conditioning; snap so
-        # both branches agree there to machine precision
-        x = np.where(y_arr >= float(self._eval_raw(eps, 0.0)), 0.0, x)
-        # both domain endpoints map to the lower endpoint; returning them
-        # exactly lets nested-cylinder computations telescope bit-for-bit
-        x = np.where(y_arr == dlo, dlo if side == 0 else dhi, x)
-        return float(x[0]) if scalar else x
+    def _inverse(self, eps: float, side: int, y):
+        raise NotImplementedError
+
+    def _even_quartic_root(self, side: int, y, a, b, crit):
+        """Side-``side`` preimage of y when ``f(x) = y`` reads ``a u^2 + b u = c``.
+
+        Here ``u = x^2``, ``c = crit - y`` for the critical value ``crit``
+        and ``b > 0``.  The root ``u = 2c / (b + sqrt(b^2 + 4ac))`` has no
+        cancellation for either sign of ``a`` (Higham, Accuracy and
+        Stability of Numerical Algorithms, sec. 1.8).  ``c`` is clamped at
+        0, where the preimage is the critical point exactly; ``y = lo``
+        returns the domain endpoint exactly, so nested cylinders telescope
+        bit-for-bit.
+        """
+        y = np.asarray(y, dtype=float)
+        c = np.maximum(crit - y, 0.0)
+        t = np.sqrt(2.0 * c / (b + np.sqrt(b * b + 4.0 * a * c)))
+        x = np.where(c == 0.0, 0.0, -t if side == 0 else t)
+        dlo, dhi = self.domain
+        x = np.where(y == dlo, dlo if side == 0 else dhi, x)
+        return float(x) if x.ndim == 0 else x
 
     # -- diagnostics ------------------------------------------------------
 
@@ -250,12 +229,6 @@ class MapFamily:
         return f"{type(self).__name__}(gamma={self.gamma}, extra={self.extra})"
 
 
-def _tolerance_error(kind: str):
-    from .errors import ConvergenceError
-    return ConvergenceError(f"{kind}: inverse branch tolerance not reached "
-                            "after 200 iterations")
-
-
 # ---------------------------------------------------------------------------
 # Presets
 # ---------------------------------------------------------------------------
@@ -277,7 +250,7 @@ class Quadratic(MapFamily):
         x = np.asarray(x, dtype=float)
         return -2.0 * (2.0 + eps) * x
 
-    def _inverse_numeric(self, eps, side, y):
+    def _inverse(self, eps, side, y):
         y = np.asarray(y, dtype=float)
         t = np.sqrt(np.maximum((1.0 + eps - y) / (2.0 + eps), 0.0))
         x = -t if side == 0 else t
@@ -304,7 +277,7 @@ class GammaPower(MapFamily):
         g = self.gamma
         return -g * (2.0 + eps) * np.abs(x) ** (g - 1.0) * np.sign(x)
 
-    def _inverse_numeric(self, eps, side, y):
+    def _inverse(self, eps, side, y):
         y = np.asarray(y, dtype=float)
         t = np.maximum((1.0 + eps - y) / (2.0 + eps), 0.0) ** (1.0 / self.gamma)
         x = -t if side == 0 else t
@@ -339,7 +312,7 @@ class Tent(MapFamily):
             return float(d) if d.ndim == 0 else d
         return self._deriv_raw(eps, x_arr)
 
-    def _inverse_numeric(self, eps, side, y):
+    def _inverse(self, eps, side, y):
         y = np.asarray(y, dtype=float)
         t = np.maximum(1.0 + eps - y, 0.0) / (2.0 + eps)
         x = -t if side == 0 else t
@@ -390,6 +363,14 @@ class Figure6(MapFamily):
             return -4.0 * x + 16.0 * c * x * (1.0 - 2.0 * x * x)
         return -2.0 * x + c * (8.0 * x - 4.0 * x ** 3)
 
+    def _inverse(self, eps, side, y):
+        c = self.c
+        if self.normalized:
+            # 8c u^2 + (2 - 8c) u = 1 - y
+            return self._even_quartic_root(side, y, 8.0 * c, 2.0 - 8.0 * c, 1.0)
+        # c u^2 + (1 - 4c) u = 2 - y
+        return self._even_quartic_root(side, y, c, 1.0 - 4.0 * c, 2.0)
+
 
 class AsymQuadratic(MapFamily):
     """A quartic-corrected quadratic with asymmetric power law at 0.
@@ -430,16 +411,26 @@ class AsymQuadratic(MapFamily):
         k = np.where(x <= 0.0, a, b)
         return -2.0 * k * x - 4.0 * (2.0 + eps - k) * x ** 3
 
+    def _inverse(self, eps, side, y):
+        # (2 + eps - k) u^2 + k u = 1 + eps - y, with k of the side
+        k = self._coeffs(eps)[side]
+        return self._even_quartic_root(side, y, 2.0 + eps - k, k, 1.0 + eps)
+
 
 # ---------------------------------------------------------------------------
 # Construction from a specification record
 # ---------------------------------------------------------------------------
 
 _PRESETS = ("quadratic", "gamma_power", "figure6", "tent", "asym_quadratic")
+_PARAMS = ("gamma", "c", "beta", "normalize")
 
 
 def make_family(kind: str, **params) -> MapFamily:
     """Build a preset by name.  Recognized params: gamma, c, beta, normalize."""
+    unknown = sorted(set(params) - set(_PARAMS))
+    if unknown:
+        raise ParameterRangeError(f"unknown family parameter(s) {unknown}; "
+                                  f"expected some of {_PARAMS}")
     if kind == "quadratic":
         return Quadratic()
     if kind == "gamma_power":
@@ -458,14 +449,17 @@ def make_family(kind: str, **params) -> MapFamily:
 def family_from_spec(spec: dict) -> MapFamily:
     """Build a family from a CLI config record.
 
-    Keys: ``kind`` (required), ``gamma``, ``params`` (numeric map),
-    ``beta`` (asymmetry, optional).
+    Keys: ``kind`` (required) and ``params`` (a map of the ``make_family``
+    params); each param may also be given at the top level, where
+    ``params`` takes precedence.  Any other key is rejected.
     """
     if "kind" not in spec:
         raise ParameterRangeError("family spec missing key 'kind'")
-    params = dict(spec.get("params") or {})
-    if "gamma" in spec:
-        params.setdefault("gamma", spec["gamma"])
-    if "beta" in spec:
-        params.setdefault("beta", spec["beta"])
-    return make_family(spec["kind"], **params)
+    unknown = sorted(set(spec) - {"kind", "params", *_PARAMS})
+    if unknown:
+        raise ParameterRangeError(f"unknown family spec key(s) {unknown}")
+    params = spec.get("params") or {}
+    if not isinstance(params, dict):
+        raise ParameterRangeError("family spec key 'params' must be a map")
+    top = {k: spec[k] for k in _PARAMS if k in spec}
+    return make_family(spec["kind"], **{**top, **params})

@@ -73,8 +73,11 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
     """Approximant sequence and extrapolated scaling value at one dual point.
 
     ``metric`` switches to the conjugate map's cylinders (ratios of h-image
-    lengths).  The value is the deepest reliable approximant; the error
-    bound is the largest of the last three successive deltas.
+    lengths).  The value is the deepest approximant whose child cylinder
+    is at least ``floor`` long; the error bound is the largest of the last
+    three successive deltas.  The estimate counts as not converged when
+    three deltas one tail period apart (one apart for a zeros or
+    truncated tail) are positive and non-decreasing.
     """
     if eps < 0.0:
         raise DomainError("scale_at requires eps >= 0")
@@ -90,18 +93,20 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
     for k in range(1, n_max + 1):
         bit = a.coord(k)
         j_lo, j_hi = map_interval(family, eps, bit, j_lo, j_hi)
+        if j_hi - j_lo < floor:
+            break
         k_lo, k_hi = map_interval(family, eps, bit, k_lo, k_hi)
         seq.append(_interval_len(j_lo, j_hi, metric)
                    / _interval_len(k_lo, k_hi, metric))
-        if j_hi - j_lo < floor:
-            break
 
     deltas = [abs(seq[i + 1] - seq[i]) for i in range(len(seq) - 1)]
-    tail = deltas[-3:] if deltas else [0.0]
-    error_bound = max(tail)
-    converged = True
-    if len(tail) == 3 and tail[0] > 0 and tail[0] <= tail[1] <= tail[2]:
-        converged = False
+    error_bound = max(deltas[-3:], default=0.0)
+    # deltas of a periodic tail oscillate within a period, so compare
+    # deltas at the same phase of it
+    p = len(a.period) or 1
+    spaced = deltas[-1 - 2 * p::p]
+    converged = not (len(spaced) == 3
+                     and 0 < spaced[0] <= spaced[1] <= spaced[2])
     return ScalingEstimate(
         dual_point=a, depth=depth, effective_depth=len(seq) - 1,
         approximant_sequence=seq, value=seq[-1],

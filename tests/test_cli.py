@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import cantorscale
 from cantorscale.cli import main
 
 
@@ -32,6 +33,22 @@ def test_partition_command(tmp_path):
     assert min(float(r["lo"]) for r in rows) == -1.0
 
 
+def test_partition_rows_match_words(tmp_path):
+    fam = cantorscale.Figure6(-0.03)
+    rc = run_cli(tmp_path, {"command": "partition",
+                            "family": {"kind": "figure6",
+                                       "params": {"c": -0.03}},
+                            "epsilon": 0.0, "depth": 6})
+    assert rc == 0
+    part = cantorscale.partition(fam, 0.0, 6)
+    expected = [[str(part.word(i)), repr(float(part.los[i])),
+                 repr(float(part.his[i])),
+                 repr(float(part.his[i] - part.los[i])),
+                 str(part.word(i).parity)] for i in range(len(part))]
+    with open(tmp_path / "partition.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == expected
+
+
 def test_scaling_graph_command(tmp_path):
     rc = run_cli(tmp_path, {"command": "scaling-graph",
                             "family": {"kind": "quadratic"},
@@ -52,6 +69,15 @@ def test_scaling_point_command(tmp_path):
     data = json.loads((tmp_path / "scaling_point.json").read_text())
     assert data["value"] == pytest.approx(0.5, abs=1e-6)
     assert data["converged"]
+
+
+def test_scaling_point_period_three_tail(tmp_path):
+    rc = run_cli(tmp_path, {"command": "scaling-point",
+                            "family": {"kind": "asym_quadratic", "beta": 0.358},
+                            "epsilon": 0.0, "depth": 22,
+                            "dual_point": "(010)^inf|00."})
+    assert rc == 0
+    assert json.loads((tmp_path / "scaling_point.json").read_text())["converged"]
 
 
 def test_gap_fit_command(tmp_path):
@@ -136,6 +162,15 @@ def test_bad_config_exit_codes(tmp_path):
     assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 1
     assert main(["--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("family", [
+    {"kind": "figure6", "shape": -0.05},
+    {"kind": "figure6", "params": {"c": -0.05, "scale": 2.0}},
+])
+def test_unknown_family_key_rejected(tmp_path, family):
+    assert run_cli(tmp_path, {"command": "partition", "family": family,
+                              "depth": 3}) == 1
 
 
 def test_unsorted_grid_rejected(tmp_path):

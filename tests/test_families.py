@@ -1,5 +1,7 @@
 """Map-family presets: evaluation, derivatives, residuals, diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,27 @@ def test_make_family_and_spec():
         cs.make_family("unknown")
 
 
+def test_spec_accepts_top_level_c_and_normalize():
+    f = cs.family_from_spec({"kind": "figure6", "c": -0.05, "normalize": False})
+    assert f.c == -0.05 and not f.normalized
+    assert f.domain == (-2.0, 2.0)
+    # params take precedence over the top level, as for gamma and beta
+    g = cs.family_from_spec({"kind": "figure6", "c": -0.05,
+                             "params": {"c": 0.02}})
+    assert g.c == 0.02
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "figure6", "shape": 0.01},
+    {"kind": "figure6", "params": {"c": 0.01, "normalise": False}},
+    {"kind": "quadratic", "params": {"eps": 0.1}},
+    {"kind": "quadratic", "params": [0.1]},
+])
+def test_spec_rejects_unknown_keys(spec):
+    with pytest.raises(cs.ParameterRangeError):
+        cs.family_from_spec(spec)
+
+
 def test_figure6_raw_and_normalized_scaling_agree():
     raw = cs.Figure6(-0.02, normalize=False)
     nor = cs.Figure6(-0.02)
@@ -162,3 +185,123 @@ def test_asym_quadratic_residual_asymmetry():
     # one-sided residual magnitudes differ: that is the whole point
     assert abs(a) != pytest.approx(abs(b), rel=1e-3)
     assert a / abs(b) == pytest.approx(3.0, rel=1e-5)  # (1+beta)/(1-beta)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form inverse branches against an independent root finder
+# ---------------------------------------------------------------------------
+
+
+def bisection_newton_inverse(family, eps, side, y):
+    """Safeguarded bisection-Newton root of f(x) = y on one branch.
+
+    Only ``_eval_raw`` and ``_deriv_raw`` of the family are used, so the
+    closed forms are checked against the map itself.  The bracket is
+    always kept and a Newton step is accepted only inside it; absolute
+    tolerance 1e-13 on x, then three unguarded Newton steps for relative
+    accuracy near 0.  Snaps as the closed forms: the critical value gives
+    0 and the lower endpoint gives the domain endpoint.
+    """
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    dlo, dhi = family.domain
+    lo = np.full_like(y_arr, dlo) if side == 0 else np.zeros_like(y_arr)
+    hi = np.zeros_like(y_arr) if side == 0 else np.full_like(y_arr, dhi)
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        active = (hi - lo) >= 1e-13
+        if not np.any(active):
+            break
+        fx = family._eval_raw(eps, x) - y_arr
+        go_right = (fx < 0) if side == 0 else (fx > 0)
+        lo = np.where(active & go_right, x, lo)
+        hi = np.where(active & ~go_right, x, hi)
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - fx / family._deriv_raw(eps, x)
+        inside = np.isfinite(xn) & (xn > lo) & (xn < hi)
+        x = np.where(active, np.where(inside, xn, mid), x)
+    else:
+        raise AssertionError("bisection did not reach its tolerance")
+    x = 0.5 * (lo + hi)
+    for _ in range(3):
+        fx = family._eval_raw(eps, x) - y_arr
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - fx / family._deriv_raw(eps, x)
+        ok = np.isfinite(xn) & (xn >= dlo) & (xn <= dhi)
+        x = np.where(ok, xn, x)
+    x = np.where(y_arr >= float(family._eval_raw(eps, 0.0)), 0.0, x)
+    return np.where(y_arr == dlo, dlo if side == 0 else dhi, x)
+
+
+QUARTIC_CASES = (
+    [pytest.param(cs.Figure6(c, normalize=n), 0.0, id=f"figure6-c{c}-norm{n}")
+     for c in (-0.06, -0.03, 0.0, 0.03, 0.06) for n in (True, False)]
+    + [pytest.param(cs.AsymQuadratic(b), e, id=f"asym-beta{b}-eps{e}")
+       for b in (-0.9, -0.45, 0.0, 0.45, 0.9) for e in (0.0, 0.1, 0.3, 0.5)])
+
+
+@pytest.mark.parametrize("family,eps", QUARTIC_CASES)
+def test_closed_form_inverse_matches_bisection_newton(family, eps):
+    ys = np.linspace(*family.domain, 20001)
+    for side in (0, 1):
+        closed = family.inverse_branch(eps, side, ys)
+        oracle = bisection_newton_inverse(family, eps, side, ys)
+        assert np.max(np.abs(closed - oracle)) <= 1e-14
+        # the scalar path gives the same bits as the array path
+        for i in range(0, ys.size, 2500):
+            assert family.inverse_branch(eps, side, float(ys[i])) == closed[i]
+
+
+@pytest.mark.parametrize("family,eps", [
+    (cs.Figure6(-0.06), 0.0), (cs.Figure6(0.05, normalize=False), 0.0),
+    (cs.AsymQuadratic(0.3), 0.0), (cs.AsymQuadratic(-0.7), 0.4)])
+def test_closed_form_returns_domain_endpoints_exactly(family, eps):
+    dlo, dhi = family.domain
+    for side, end in ((0, dlo), (1, dhi)):
+        assert family.inverse_branch(eps, side, dlo) == end
+        assert family.inverse_branch(eps, side, np.asarray([dlo]))[0] == end
+
+
+@pytest.mark.parametrize("family", [
+    cs.Figure6(-0.06), cs.Figure6(0.05, normalize=False),
+    cs.AsymQuadratic(0.3)])
+def test_closed_form_returns_zero_at_critical_value(family):
+    crit = family.critical_value(0.0)
+    for side in (0, 1):
+        x = family.inverse_branch(0.0, side, crit)
+        assert x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+@pytest.mark.parametrize("family,eps", [
+    (cs.Figure6(-0.05), 0.0), (cs.Figure6(0.04, normalize=False), 0.0),
+    (cs.AsymQuadratic(0.5), 0.0), (cs.AsymQuadratic(-0.6), 0.3)])
+def test_inverse_of_eval_round_trip(family, eps):
+    dhi = family.domain[1]
+    mags = dhi * np.linspace(0.01, 1.0, 2000)
+    for side, xs in ((0, -mags), (1, mags)):
+        # for eps > 0 the top of the range lies outside the domain
+        xs = xs[family.eval(eps, xs) <= dhi]
+        back = family.inverse_branch(eps, side, family.eval(eps, xs))
+        # a rounding of f(x) moves the preimage by about ulp / |f'(x)|
+        tol = 1e-14 + 4e-16 * dhi / np.abs(family.deriv(eps, xs))
+        assert np.all(np.abs(back - xs) <= tol)
+
+
+def test_inverse_branch_rejects_bad_side():
+    with pytest.raises(ValueError):
+        cs.Quadratic().inverse_branch(0.0, 2, 0.5)
+    with pytest.raises(ValueError):
+        cs.Figure6(0.0).inverse_branch(0.0, 2, 0.5)
+
+
+def test_scalar_domain_check_matches_array_check():
+    q = cs.Quadratic()
+    for y in (1.0 + 5e-13, -1.0 - 5e-13, np.float64(0.3), np.float32(-1.0),
+              float("nan")):
+        q.check_domain(y)
+        q.check_domain(np.asarray([y]))
+    for y in (1.0 + 2e-12, np.float64(-1.5), np.float32(1.001)):
+        with pytest.raises(cs.DomainError):
+            q.check_domain(y)
+        with pytest.raises(cs.DomainError):
+            q.check_domain(np.asarray([y]))

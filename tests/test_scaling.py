@@ -18,6 +18,27 @@ def test_tent_scaling_is_exactly_one_third():
         assert est.value == pytest.approx(1 / 3, abs=1e-9)
 
 
+def test_request_past_the_floor_keeps_the_last_reliable_ratio():
+    # the depth-23 child cylinder is shorter than LENGTH_FLOOR, so a deeper
+    # request must stop at depth 22 and keep that ratio
+    a = cs.DualPoint((), (1, 0))
+    deep = cs.scale_at(cs.Tent(), 1.0, a, 25)
+    at_floor = cs.scale_at(cs.Tent(), 1.0, a, 22)
+    assert deep.effective_depth == at_floor.effective_depth == 22
+    assert deep.value == at_floor.value
+    assert deep.approximant_sequence == at_floor.approximant_sequence
+
+
+def test_convergence_test_compares_deltas_one_period_apart():
+    # the deltas of a period-3 tail swing within each period while they
+    # fall tenfold per period; the last three are increasing
+    est = cs.scale_at(cs.AsymQuadratic(0.358), 0.0,
+                      cs.parse_dual_point("(010)^inf|00."), 22)
+    deltas = np.abs(np.diff(est.approximant_sequence))
+    assert deltas[-3] < deltas[-2] < deltas[-1]
+    assert est.converged
+
+
 def test_quadratic_b_point_is_half():
     q = cs.Quadratic()
     est = cs.scale_at(q, 0.0, cs.DualPoint((), (1, 0)), 25)
