@@ -5,8 +5,8 @@ geometry, singular-metric conjugates and Hausdorff-dimension estimates,
 with built-in map presets and closed-form oracles.
 """
 
-from .branches import (Cylinder, Partition, Word, cylinder, decay_rate,
-                       inverse_branch, partition, partition_levels)
+from .branches import (Cylinder, Partition, Word, apply_branches, cylinder,
+                       decay_rate, partition, partition_levels)
 from .dimension import (DimensionEstimate, delta0, hd_curve, hd_estimate,
                         pressure_sum, zero_run_count,
                         zero_run_count_bruteforce)

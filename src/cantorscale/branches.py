@@ -40,10 +40,6 @@ class Word:
         """New innermost bit (rightmost)."""
         return Word(self.bits + (bit,))
 
-    def prepend(self, bit: int) -> "Word":
-        """New outermost bit (leftmost)."""
-        return Word((bit,) + self.bits)
-
     @property
     def parity(self) -> int:
         """+1 for an even number of 1-bits, -1 for odd (sign of g_w')."""
@@ -70,36 +66,28 @@ class Cylinder:
     def orientation(self) -> int:
         return self.word.parity
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
+def apply_branches(family: MapFamily, eps: float, sides,
+                   points) -> np.ndarray:
+    """Trajectory of ``points`` under the inverse branches ``sides``.
 
-def inverse_branch(family: MapFamily, eps: float, side: int, y):
-    """The preimage of y under f_eps on the side-``side`` half of the domain."""
-    return family.inverse_branch(eps, side, y)
+    ``sides`` lists the branches in the order they are applied, innermost
+    first, so the cylinder of a word uses ``word.bits[::-1]``.  Row ``k``
+    of the result, of shape ``(len(sides) + 1, *np.shape(points))``, holds
+    the points after the first ``k`` branches.  An interval is carried as
+    its two endpoints; a side-1 branch reverses their order.
+    """
+    rows = np.empty((len(sides) + 1,) + np.shape(points))
+    rows[0] = points
+    for k, side in enumerate(sides):
+        rows[k + 1] = family.inverse_branch(eps, side, rows[k])
+    return rows
 
 
 def cylinder(family: MapFamily, eps: float, word: Word) -> Cylinder:
-    """I_w: map the domain endpoints through the branches, innermost first.
-
-    After each orientation-reversing branch (side 1) the endpoints are
-    swapped, so [lo, hi] stays sorted throughout.
-    """
-    lo, hi = family.domain
-    for bit in reversed(word.bits):
-        a = family.inverse_branch(eps, bit, lo)
-        b = family.inverse_branch(eps, bit, hi)
-        lo, hi = (a, b) if bit == 0 else (b, a)
-    return Cylinder(word=word, lo=lo, hi=hi)
-
-
-def map_interval(family: MapFamily, eps: float, side: int,
-                 lo: float, hi: float) -> tuple[float, float]:
-    """Sorted image of [lo, hi] under the side-``side`` inverse branch."""
-    a = family.inverse_branch(eps, side, lo)
-    b = family.inverse_branch(eps, side, hi)
-    return (a, b) if side == 0 else (b, a)
+    """I_w = g_w(domain): the domain endpoints through the branches."""
+    a, b = apply_branches(family, eps, word.bits[::-1], family.domain)[-1]
+    return Cylinder(word=word, lo=float(min(a, b)), hi=float(max(a, b)))
 
 
 class Partition:

@@ -38,6 +38,12 @@ from .symbolic import DualPoint, parse_dual_point
 COMMANDS = ("partition", "scaling-graph", "scaling-point", "gap-fit",
             "dimension-curve", "metric-check", "distortion-check",
             "jump-report", "invariants")
+CONFIG_KEYS = ("command", "family", "depth", "epsilon", "epsilon_grid",
+               "seed", "samples", "dual_point", "output")
+#: the chain commands compute every branch up to ``depth`` before the
+#: length floor cuts them (binary64 cylinders fall below it by depth ~40);
+#: this bounds the trajectory a config can ask for
+MAX_DEPTH = 1000
 
 
 class ConfigError(CantorScaleError, ValueError):
@@ -81,6 +87,10 @@ class Experiment:
     def __init__(self, cfg: dict, out_dir: Path):
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {unknown}; "
+                              f"expected some of {CONFIG_KEYS}")
         self.command = cfg.get("command")
         if self.command not in COMMANDS:
             raise ConfigError(f"bad or missing key 'command': {self.command!r}; "
@@ -92,9 +102,8 @@ class Experiment:
         except CantorScaleError as exc:
             raise ConfigError(f"key 'family': {exc}") from exc
         self.depth = int(cfg.get("depth", 10))
-        if self.depth > branches.DEFAULT_DEPTH_BUDGET:
-            raise ConfigError(f"key 'depth': {self.depth} exceeds budget "
-                              f"{branches.DEFAULT_DEPTH_BUDGET}")
+        if not 0 <= self.depth <= MAX_DEPTH:
+            raise ConfigError(f"key 'depth': {self.depth} outside [0, {MAX_DEPTH}]")
         self.eps = float(cfg.get("epsilon", 0.0))
         grid = cfg.get("epsilon_grid")
         self.eps_grid = None if grid is None else [float(e) for e in grid]

@@ -127,10 +127,10 @@ def zero_run_count_bruteforce(n: int, max_run: int = 3) -> int:
     """Direct enumeration cross-check (n <= 20)."""
     if n > 20:
         raise DomainError("brute force capped at n = 20")
-    count = 0
-    for m in range(1 << n):
-        bits = format(m, f"0{n}b")
-        longest = max((len(run) for run in bits.split("1")), default=0)
-        if longest < max_run:
-            count += 1
-    return count
+    strings = np.arange(1 << n)
+    run = np.zeros(strings.size, dtype=np.int8)      # trailing zero run
+    longest = np.zeros_like(run)
+    for k in range(n):
+        run = np.where((strings >> k) & 1, 0, run + 1)
+        np.maximum(longest, run, out=longest)
+    return int(np.count_nonzero(longest < max_run))

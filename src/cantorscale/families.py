@@ -88,8 +88,11 @@ class MapFamily:
             # scalar fast path; NaN passes here as in the array test
             outside = x < lo - 1e-12 or x > hi + 1e-12
         else:
-            x = np.asarray(x)
-            outside = np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12)
+            # fmin/fmax skip NaN; the initial values let an empty array pass
+            x = np.asarray(x, dtype=float)
+            outside = (np.fmin.reduce(x, axis=None, initial=np.inf) < lo - 1e-12
+                       or np.fmax.reduce(x, axis=None, initial=-np.inf)
+                       > hi + 1e-12)
         if outside:
             raise DomainError(f"{self.kind}: point outside [{lo}, {hi}]")
 

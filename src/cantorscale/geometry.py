@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import (Word, cylinder, decay_rate, map_interval,
+from .branches import (Word, apply_branches, cylinder, decay_rate,
                        partition_levels)
 from .errors import DomainError
 from .families import GammaPower, MapFamily
@@ -84,27 +84,20 @@ class DistortionCheck:
 
 def gap(family: MapFamily, eps: float, word: Word | None) -> GapRecord:
     """The gap between the two children of ``I_w`` (empty word: leading gap)."""
-    dlo, dhi = family.domain
-    if word is None:
-        parent_lo, parent_hi = dlo, dhi
-        c0 = cylinder(family, eps, Word((0,)))
-        c1 = cylinder(family, eps, Word((1,)))
-        label = ""
-    else:
-        parent = cylinder(family, eps, word)
-        parent_lo, parent_hi = parent.lo, parent.hi
-        c0 = cylinder(family, eps, word.append(0))
-        c1 = cylinder(family, eps, word.append(1))
-        label = str(word)
-    parent_len = parent_hi - parent_lo
-    left, right = (c0, c1) if c0.lo <= c1.lo else (c1, c0)
-    gap_lo, gap_hi = left.hi, right.lo
-    gap_len = max(gap_hi - gap_lo, 0.0)
+    sides, label = ((), "") if word is None else (word.bits[::-1], str(word))
+    c0, c1 = (cylinder(family, eps, Word((b,))) for b in (0, 1))
+    ends = apply_branches(family, eps, sides,
+                          [*family.domain, c0.lo, c0.hi, c1.lo, c1.hi])[-1]
+    (p_lo, c0_lo, c1_lo), (p_hi, c0_hi, c1_hi) = np.sort(
+        ends.reshape(3, 2), axis=1).T.tolist()
+    parent_len = p_hi - p_lo
+    gap_lo, gap_hi = (c0_hi, c1_lo) if c0_lo <= c1_lo else (c1_hi, c0_lo)
     return GapRecord(
         word=label,
         gap_interval=(gap_lo, gap_hi),
-        gap_ratio=gap_len / parent_len,
-        child_ratios=(c0.length / parent_len, c1.length / parent_len))
+        gap_ratio=max(gap_hi - gap_lo, 0.0) / parent_len,
+        child_ratios=((c0_hi - c0_lo) / parent_len,
+                      (c1_hi - c1_lo) / parent_len))
 
 
 def gap_geometry(family: MapFamily, eps: float, depth: int,
@@ -282,20 +275,13 @@ def distortion_check(family: MapFamily, eps: float, word: Word,
     d_xy = min(x_lo - dlo, dhi - x_hi)
     j0 = x_hi - x_lo
 
-    log_lhs = 0.0
-    sum_len = 0.0
-    sum_len_alpha = 0.0
-    cx, cy = x, y
-    lo, hi = x_lo, x_hi
-    for bit in reversed(word.bits):
-        cx = family.inverse_branch(eps, bit, cx)
-        cy = family.inverse_branch(eps, bit, cy)
-        lo, hi = map_interval(family, eps, bit, lo, hi)
-        # g'(t) = 1 / f'(g(t)): accumulate the ratio at the images
-        log_lhs += math.log(abs(float(family.deriv(eps, cy)))
-                            / abs(float(family.deriv(eps, cx))))
-        sum_len += hi - lo
-        sum_len_alpha += (hi - lo) ** constants.alpha
+    # g_w'(t) = 1 / f'(g_w(t)) by the chain rule over the backward orbit
+    orbit = apply_branches(family, eps, word.bits[::-1], [x, y])[1:]
+    d = np.abs(family.deriv(eps, orbit))
+    lens = np.abs(orbit[:, 1] - orbit[:, 0])
+    log_lhs = float(np.sum(np.log(d[:, 1] / d[:, 0])))
+    sum_len = float(np.sum(lens))
+    sum_len_alpha = float(np.sum(lens ** constants.alpha))
 
     lhs = math.exp(log_lhs)
     a = constants.alpha

@@ -101,8 +101,7 @@ class MetricChange:
             y = np.arcsin(x_arr / (1.0 + self.eps)) / self._asin_scale
         else:
             y = np.asarray([self.b * math.copysign(self._integral(0.0, abs(t)), t)
-                            for t in np.atleast_1d(x_arr)])
-            y = y.reshape(x_arr.shape)
+                            for t in x_arr.ravel()]).reshape(x_arr.shape)
         return float(y) if y.ndim == 0 else y
 
     def h_prime(self, x):
@@ -119,9 +118,9 @@ class MetricChange:
         if self._is_arcsin:
             x = (1.0 + self.eps) * np.sin(y_arr * self._asin_scale)
             return float(x) if np.asarray(x).ndim == 0 else x
-        scalar = y_arr.ndim == 0
-        out = np.asarray([self._h_inv_scalar(t) for t in np.atleast_1d(y_arr)])
-        return float(out[0]) if scalar else out.reshape(np.shape(y))
+        out = np.asarray([self._h_inv_scalar(t)
+                          for t in y_arr.ravel()]).reshape(y_arr.shape)
+        return float(out) if out.ndim == 0 else out
 
     def _h_inv_scalar(self, y: float) -> float:
         if y <= -1.0:

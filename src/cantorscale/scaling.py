@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import map_interval, partition_levels
+from .branches import Word, apply_branches, cylinder, partition_levels
 from .errors import DomainError
 from .families import MapFamily
 from .symbolic import DualPoint, ZEROS
@@ -62,10 +62,10 @@ class JumpAnalysis:
     converged: bool
 
 
-def _interval_len(lo: float, hi: float, metric) -> float:
-    if metric is None:
-        return hi - lo
-    return metric.h(hi) - metric.h(lo)
+def _rows_to_floor(lengths, floor: float) -> int:
+    """1 + the index of the first length below ``floor`` (of the end if none is)."""
+    short = np.flatnonzero(lengths < floor)
+    return int(short[0] if short.size else len(lengths)) + 1
 
 
 def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
@@ -77,7 +77,8 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
     is at least ``floor`` long; the error bound is the largest of the last
     three successive deltas.  The estimate counts as not converged when
     three deltas one tail period apart (one apart for a zeros or
-    truncated tail) are positive and non-decreasing.
+    truncated tail) are positive and non-decreasing.  The chain is computed
+    to ``depth`` before the floor cuts it, so the cost follows ``depth``.
     """
     if eps < 0.0:
         raise DomainError("scale_at requires eps >= 0")
@@ -86,18 +87,16 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
     if n_max < 1:
         raise DomainError("dual point provides fewer than 2 coordinates")
 
-    dlo, dhi = family.domain
-    j_lo, j_hi = map_interval(family, eps, a.coord(0), dlo, dhi)
-    k_lo, k_hi = dlo, dhi
-    seq = [_interval_len(j_lo, j_hi, metric) / _interval_len(k_lo, k_hi, metric)]
-    for k in range(1, n_max + 1):
-        bit = a.coord(k)
-        j_lo, j_hi = map_interval(family, eps, bit, j_lo, j_hi)
-        if j_hi - j_lo < floor:
-            break
-        k_lo, k_hi = map_interval(family, eps, bit, k_lo, k_hi)
-        seq.append(_interval_len(j_lo, j_hi, metric)
-                   / _interval_len(k_lo, k_hi, metric))
+    # row k holds J = I_{i_k ... i_0} and K = I_{i_k ... i_1}
+    j0 = cylinder(family, eps, Word((a.coord(0),)))
+    rows = apply_branches(family, eps, [a.coord(k) for k in range(1, n_max + 1)],
+                          [j0.lo, j0.hi, *family.domain])
+    # stop before the first child J shorter than the floor
+    rows = rows[:_rows_to_floor(np.abs(rows[1:, 1] - rows[1:, 0]), floor)]
+    if metric is not None:
+        rows = metric.h(rows)
+    lengths = np.abs(rows[:, 1::2] - rows[:, 0::2])
+    seq = (lengths[:, 0] / lengths[:, 1]).tolist()
 
     deltas = [abs(seq[i + 1] - seq[i]) for i in range(len(seq) - 1)]
     error_bound = max(deltas[-3:], default=0.0)
@@ -245,41 +244,25 @@ def jump_at(family: MapFamily, a: DualPoint, depth: int,
     # suffix = [i0, i1, ..., im] with i_m = 1; empty for the pure (0_inf.)
     # point, whose jump data tracks a_n = |I_{0_{n+1}}|, b_n = |I_{0_n}|
     wi_bits = tuple(reversed(suffix)) if suffix else (0,)
-    w_bits = wi_bits[:-1]                    # word for "w" (may be empty)
+    w_bits, i = wi_bits[:-1], wi_bits[-1]
 
-    def base_interval(bits):
-        lo, hi = dlo, dhi
-        for bit in reversed(bits):
-            lo, hi = map_interval(family, eps, bit, lo, hi)
-        return lo, hi
-
-    bw_lo, bw_hi = base_interval(w_bits) if w_bits else (dlo, dhi)
-    aw_lo, aw_hi = base_interval(wi_bits) if wi_bits else (dlo, dhi)
-    # the sibling child, needed to identify which child sits at distance
-    # exactly c_n from the left endpoint
-    ow_bits = w_bits + (1 - wi_bits[-1],)
-    ow_lo, ow_hi = base_interval(ow_bits)
-
-    a_seq, b_seq, c_seq = [], [], []
-    s1_seq, s2_seq, direct_seq = [], [], []
-    for n in range(depth + 1):
-        b_len = bw_hi - bw_lo
-        a_len = aw_hi - aw_lo
-        c_dist = max(bw_lo - dlo, 0.0)
-        near_len = a_len if aw_lo <= ow_lo else ow_hi - ow_lo
-        a_seq.append(a_len)
-        b_seq.append(b_len)
-        c_seq.append(c_dist)
-        den = (b_len + c_dist) ** (1 / g) - c_dist ** (1 / g)
-        num1 = (near_len + c_dist) ** (1 / g) - c_dist ** (1 / g)
-        s1_seq.append(num1 / den)
-        s2_seq.append(1.0 - num1 / den)
-        direct_seq.append(a_len / b_len)
-        if b_len < floor or n == depth:
-            break
-        bw_lo, bw_hi = map_interval(family, eps, 0, bw_lo, bw_hi)
-        aw_lo, aw_hi = map_interval(family, eps, 0, aw_lo, aw_hi)
-        ow_lo, ow_hi = map_interval(family, eps, 0, ow_lo, ow_hi)
+    # chains of I_{0_n w}, I_{0_n w i} and its sibling I_{0_n w (1-i)},
+    # which identifies the child at distance exactly c_n from the left end
+    ci, co = (cylinder(family, eps, Word((b,))) for b in (i, 1 - i))
+    rows = apply_branches(family, eps, w_bits[::-1] + (0,) * depth,
+                          [dlo, dhi, ci.lo, ci.hi, co.lo, co.hi])
+    ends = rows[len(w_bits):].reshape(-1, 3, 2)
+    lo, length = ends.min(axis=2), np.ptp(ends, axis=2)
+    keep = _rows_to_floor(length[:, 0], floor)
+    b_seq = length[:keep, 0].tolist()
+    a_seq = length[:keep, 1].tolist()
+    c_seq = np.maximum(lo[:keep, 0] - dlo, 0.0).tolist()
+    near = np.where(lo[:keep, 1] <= lo[:keep, 2],
+                    length[:keep, 1], length[:keep, 2]).tolist()
+    s1_seq = [((n_len + c) ** (1 / g) - c ** (1 / g))
+              / ((b_len + c) ** (1 / g) - c ** (1 / g))
+              for n_len, b_len, c in zip(near, b_seq, c_seq)]
+    direct_seq = [a_len / b_len for a_len, b_len in zip(a_seq, b_seq)]
 
     tau1 = b_seq[-1] / c_seq[-1] if c_seq[-1] > 0 else float("inf")
     tau2 = a_seq[-1] / c_seq[-1] if c_seq[-1] > 0 else float("inf")
@@ -292,7 +275,7 @@ def jump_at(family: MapFamily, a: DualPoint, depth: int,
     return JumpAnalysis(
         a_n=a_seq, b_n=b_seq, c_n=c_seq, tau1=tau1, tau2=tau2,
         value=direct_seq[-1],
-        one_sided_limits=(s1_seq[-1], s2_seq[-1]),
+        one_sided_limits=(s1_seq[-1], 1.0 - s1_seq[-1]),
         converged=converged)
 
 
@@ -324,17 +307,13 @@ def asymmetry(family: MapFamily, depth: int) -> tuple[float, bool]:
     """
     _require_bh(family)
     eps = 0.0
-    dlo, dhi = family.domain
-    lo, hi = dlo, dhi
-    ratios = []
-    for n in range(depth + 1):
-        mid_lo, mid_hi = map_interval(family, eps, 1, lo, hi)   # I_{1 0_n}
-        n0_lo, n0_hi = map_interval(family, eps, 0, mid_lo, mid_hi)  # I_{01 0_n}
-        n1_lo, n1_hi = map_interval(family, eps, 1, mid_lo, mid_hi)  # I_{11 0_n}
-        ratios.append((n0_hi - n0_lo) / (n1_hi - n1_lo))
-        if hi - lo < LENGTH_FLOOR:
-            break
-        lo, hi = map_interval(family, eps, 0, lo, hi)   # I_{0_{n+1}}
+    zeros = apply_branches(family, eps, (0,) * depth, family.domain)  # I_{0_n}
+    zeros = zeros[:_rows_to_floor(np.abs(zeros[:, 1] - zeros[:, 0]),
+                                  LENGTH_FLOOR)]
+    mid = apply_branches(family, eps, (1,), zeros)[-1]                # I_{1 0_n}
+    n0 = apply_branches(family, eps, (0,), mid)[-1]                   # I_{01 0_n}
+    n1 = apply_branches(family, eps, (1,), mid)[-1]                   # I_{11 0_n}
+    ratios = (np.abs(n0[:, 1] - n0[:, 0]) / np.abs(n1[:, 1] - n1[:, 0])).tolist()
     tail = ratios[-5:]
     converged = max(tail) - min(tail) < 1e-6 + 1e-4 * abs(tail[-1])
     return ratios[-1], converged

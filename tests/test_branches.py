@@ -153,6 +153,57 @@ def test_refinement_consistency():
         assert level.his[index] == pytest.approx(direct.hi, abs=1e-12)
 
 
+KERNEL_CASES = [
+    (cs.Quadratic(), 0.0),
+    (cs.GammaPower(3.0), 0.2),
+    (cs.Tent(), 0.5),
+    (cs.Figure6(-0.03), 0.0),
+    (cs.AsymQuadratic(0.3), 0.1),
+]
+
+
+@pytest.mark.parametrize("family,eps", KERNEL_CASES)
+def test_apply_branches_rows_are_successive_cylinders(family, eps):
+    rng = np.random.default_rng(3)
+    sides = tuple(int(b) for b in rng.integers(0, 2, size=16))
+    rows = cs.apply_branches(family, eps, sides, family.domain)
+    assert rows.shape == (17, 2)
+    assert tuple(rows[0]) == family.domain
+    for k in range(1, 17):
+        # the first k sides, innermost first, make the word read backwards
+        cyl = cs.cylinder(family, eps, cs.Word(sides[:k][::-1]))
+        assert (min(rows[k]), max(rows[k])) == (cyl.lo, cyl.hi)
+
+
+def test_apply_branches_shapes():
+    q = cs.Quadratic()
+    assert cs.apply_branches(q, 0.2, (), 0.3).tolist() == [0.3]
+    assert cs.apply_branches(q, 0.2, (1, 0), 0.3).shape == (3,)
+    rows = cs.apply_branches(q, 0.2, (1, 0), np.zeros((2, 3)))
+    assert rows.shape == (3, 2, 3)
+    assert np.all(rows[2] == q.inverse_branch(0.2, 0, q.inverse_branch(0.2, 1, 0.0)))
+
+
+@pytest.mark.parametrize("family,eps", KERNEL_CASES)
+def test_apply_branches_keeps_children_nested(family, eps):
+    # carry I_w and its two children I_w0, I_w1 down random words
+    c0, c1 = (cs.cylinder(family, eps, cs.Word((b,))) for b in (0, 1))
+    points = [*family.domain, c0.lo, c0.hi, c1.lo, c1.hi]
+    rng = np.random.default_rng(8)
+    tol = 1e-12
+    for _ in range(20):
+        sides = tuple(int(b) for b in rng.integers(0, 2, size=14))
+        ends = cs.apply_branches(family, eps, sides, points).reshape(-1, 3, 2)
+        lo, hi = ends.min(axis=2), ends.max(axis=2)
+        assert np.all(lo[:, 1:] >= lo[:, :1] - tol)
+        assert np.all(hi[:, 1:] <= hi[:, :1] + tol)
+        gap = np.maximum(lo[:, 1], lo[:, 2]) - np.minimum(hi[:, 1], hi[:, 2])
+        assert np.all(gap >= -tol)
+        length = hi - lo
+        total = length[:, 1] + length[:, 2] + np.maximum(gap, 0.0)
+        assert np.max(np.abs(total - length[:, 0])) < tol
+
+
 def test_word_rendering_and_index_round_trip():
     w = cs.Word((0, 1, 1, 0))
     assert str(w) == "0110"

@@ -80,6 +80,25 @@ def test_scaling_point_period_three_tail(tmp_path):
     assert json.loads((tmp_path / "scaling_point.json").read_text())["converged"]
 
 
+def test_scaling_point_beyond_partition_budget(tmp_path):
+    # the partition depth budget does not apply to the chain commands
+    rc = run_cli(tmp_path, {"command": "scaling-point",
+                            "family": {"kind": "quadratic"},
+                            "epsilon": 0.0, "depth": 25,
+                            "dual_point": "(10)^inf|1."})
+    assert rc == 0
+    data = json.loads((tmp_path / "scaling_point.json").read_text())
+    assert data["depth"] == 25
+    assert data["value"] == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("depth", [-1, 10 ** 9])
+def test_depth_out_of_range_rejected(tmp_path, depth):
+    assert run_cli(tmp_path, {"command": "jump-report",
+                              "family": {"kind": "quadratic"},
+                              "depth": depth, "dual_point": "0^inf|1."}) == 1
+
+
 def test_gap_fit_command(tmp_path):
     rc = run_cli(tmp_path, {"command": "gap-fit",
                             "family": {"kind": "quadratic"},
@@ -171,6 +190,14 @@ def test_bad_config_exit_codes(tmp_path):
 def test_unknown_family_key_rejected(tmp_path, family):
     assert run_cli(tmp_path, {"command": "partition", "family": family,
                               "depth": 3}) == 1
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    assert run_cli(tmp_path, {"command": "partition",
+                              "family": {"kind": "quadratic"},
+                              "depth": 3, "epsilion": 0.3}) == 1
+    assert "epsilion" in capsys.readouterr().err
+    assert not (tmp_path / "partition.csv").exists()
 
 
 def test_unsorted_grid_rejected(tmp_path):

@@ -305,3 +305,9 @@ def test_scalar_domain_check_matches_array_check():
             q.check_domain(y)
         with pytest.raises(cs.DomainError):
             q.check_domain(np.asarray([y]))
+    # arrays: NaN and empty arrays pass, NaN does not hide a point outside
+    for ys in ([], [float("nan")], [float("nan"), 0.2], [[0.1, -1.0], [1.0, 0.0]]):
+        q.check_domain(np.asarray(ys))
+    for ys in ([float("nan"), 1.5], [-1.5, float("nan")], [[0.1, 0.2], [0.3, 2.0]]):
+        with pytest.raises(cs.DomainError):
+            q.check_domain(np.asarray(ys))

@@ -115,6 +115,40 @@ def test_orbit_bound_tighter_than_uniform():
     assert chk.passed
 
 
+def _orbit_sums(family, eps, word, x, y, alpha):
+    """The backward-orbit sums of ``distortion_check``, one point at a time."""
+    log_lhs = sum_len = sum_len_alpha = 0.0
+    for bit in reversed(word.bits):
+        x = family.inverse_branch(eps, bit, x)
+        y = family.inverse_branch(eps, bit, y)
+        log_lhs += math.log(abs(float(family.deriv(eps, y)))
+                            / abs(float(family.deriv(eps, x))))
+        sum_len += abs(y - x)
+        sum_len_alpha += abs(y - x) ** alpha
+    return math.exp(log_lhs), sum_len, sum_len_alpha
+
+
+@pytest.mark.parametrize("family,eps", [
+    (cs.Quadratic(), 0.2), (cs.GammaPower(1.5), 0.3), (cs.AsymQuadratic(-0.4), 0.1),
+])
+def test_distortion_check_matches_scalar_orbit(family, eps):
+    k = cs.estimate_constants(family, eps)
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        word = cs.Word(tuple(int(b) for b in rng.integers(0, 2, size=12)))
+        x, y = rng.uniform(-0.9, 0.9, size=2)
+        chk = cs.distortion_check(family, eps, word, float(x), float(y), k)
+        lhs, sum_len, sum_len_alpha = _orbit_sums(family, eps, word, x, y,
+                                                  k.alpha)
+        assert chk.lhs == pytest.approx(lhs, rel=1e-14)
+        d_xy = min(min(x, y) + 1.0, 1.0 - max(x, y))
+        rhs = math.exp((k.A + k.B * sum_len + k.C * abs(y - x) / d_xy)
+                       * sum_len_alpha)
+        # scalar and array pow may round an orbit point differently; the
+        # short lengths in the sums magnify that ulp, exp the sums' error
+        assert chk.rhs_orbit == pytest.approx(rhs, rel=1e-11)
+
+
 @pytest.mark.parametrize("eps", [0.05, 0.2, 0.5])
 def test_distortion_suite_all_pass(eps):
     passed, total, worst, checks = cs.distortion_suite(

@@ -35,6 +35,18 @@ def test_round_trip(gamma, eps):
     assert np.max(np.abs(back - xs)) < 1e-10
 
 
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+def test_h_and_h_inv_keep_array_shape(gamma):
+    m = cs.MetricChange(gamma, 0.0)
+    xs = np.asarray([[-1.0, -0.4, 0.0], [0.2, 0.7, 1.0]])
+    ys = m.h(xs)
+    assert ys.shape == (2, 3)
+    assert ys.tolist() == [[m.h(x) for x in row] for row in xs.tolist()]
+    back = m.h_inv(ys)
+    assert back.shape == (2, 3)
+    assert back.tolist() == [[m.h_inv(y) for y in row] for row in ys.tolist()]
+
+
 def test_metric_requires_gamma_above_one():
     with pytest.raises(cs.DomainError):
         cs.MetricChange(1.0, 0.0)
