@@ -40,9 +40,8 @@ COMMANDS = ("partition", "scaling-graph", "scaling-point", "gap-fit",
             "jump-report", "invariants")
 CONFIG_KEYS = ("command", "family", "depth", "epsilon", "epsilon_grid",
                "seed", "samples", "dual_point", "output")
-#: the chain commands compute every branch up to ``depth`` before the
-#: length floor cuts them (binary64 cylinders fall below it by depth ~40);
-#: this bounds the trajectory a config can ask for
+#: the chain commands stop at the length floor, which binary64 cylinders
+#: reach by depth ~40, so a deeper config asks for nothing more
 MAX_DEPTH = 1000
 
 

@@ -5,9 +5,10 @@ The estimator is the root of the normalized Moran/pressure sum
     sum over words of length n+1 of (|I_w| / |domain|)^delta = 1,
 
 which returns exactly delta = 1 when the cylinders tile the whole
-interval.  The sum is strictly decreasing in delta, so plain bisection
-converges; the cross-depth pair (delta at depth-1, delta at depth)
-brackets the systematic error.
+interval.  The logarithm of the sum is convex and strictly decreasing in
+delta, so Newton's method on it, kept inside a bisection bracket, finds
+the root in a few steps; the cross-depth pair (delta at depth-1, delta
+at depth) brackets the systematic error.
 """
 
 from __future__ import annotations
@@ -18,8 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branches import Partition, partition_levels
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .families import MapFamily
+
+#: Newton stops once a step is this small in delta (ulp(1) is 2.2e-16);
+#: the bisection fallback alone reaches it within 51 steps
+_STEP_TOL = 1e-15
+_MAX_STEPS = 60
 
 
 @dataclass
@@ -29,6 +35,7 @@ class DimensionEstimate:
     delta: float
     bracket: tuple[float, float]
     residual: float
+    iterations: int        # Newton steps of the depth-``depth`` root
 
 
 def pressure_sum(part: Partition, delta: float,
@@ -40,23 +47,51 @@ def pressure_sum(part: Partition, delta: float,
     return math.fsum((rel ** delta).tolist())
 
 
+class _Root(tuple):
+    """``(delta, residual)`` of one pressure root; ``iterations`` counts its steps."""
+
+    def __new__(cls, delta: float, residual: float, iterations: int):
+        root = super().__new__(cls, (delta, residual))
+        root.iterations = iterations
+        return root
+
+
 def _solve_delta(part: Partition, domain_length: float,
                  tol: float = 1e-10) -> tuple[float, float]:
+    """Safeguarded Newton root of F(delta) = log sum r^delta.
+
+    F is convex and decreasing with F(0) = log(cell count) > 0, so a
+    Newton step that leaves the bracket (lo, hi) kept from the signs of F
+    falls back to its midpoint.  The start delta = 1 is the root of a
+    tiling, which then returns exactly 1.0.  Cells of zero length add
+    nothing for delta > 0 and are left out of ``log r``.  The returned
+    residual is the compensated ``pressure_sum`` one, and must be < ``tol``.
+    """
+    rel = part.lengths / domain_length
+    log_r = np.log(rel[rel > 0.0])
     lo, hi = 0.0, 2.0
-    # pressure_sum(0) = cylinder count >= 2 > 1; decreasing in delta
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s = pressure_sum(part, mid, domain_length)
-        if abs(s - 1.0) < tol:
-            return mid, abs(s - 1.0)
+    delta = 1.0
+    for iterations in range(1, _MAX_STEPS + 1):
+        powers = np.exp(delta * log_r)
+        s = powers.sum()
         if s > 1.0:
-            lo = mid
+            lo = delta
         else:
-            hi = mid
-        if hi - lo < 1e-14:
+            hi = delta
+        # F / F' = log S / (S' / S), with S' = sum r^delta log r
+        step = math.log(s) * s / (powers @ log_r)
+        if abs(step) <= _STEP_TOL or hi - lo <= _STEP_TOL:
+            if lo <= delta - step <= hi:
+                delta -= step
             break
-    delta = 0.5 * (lo + hi)
-    return delta, abs(pressure_sum(part, delta, domain_length) - 1.0)
+        delta -= step
+        if not lo < delta < hi:
+            delta = 0.5 * (lo + hi)
+    residual = abs(pressure_sum(part, delta, domain_length) - 1.0)
+    if not residual < tol:
+        raise ConvergenceError(
+            f"pressure root {delta!r}: residual {residual:.3g} not below {tol:.3g}")
+    return _Root(float(delta), residual, iterations)
 
 
 def hd_estimate(family: MapFamily, eps: float, depth: int) -> DimensionEstimate:
@@ -66,10 +101,12 @@ def hd_estimate(family: MapFamily, eps: float, depth: int) -> DimensionEstimate:
     levels = partition_levels(family, eps, depth)
     dlen = family.domain[1] - family.domain[0]
     d_prev, _ = _solve_delta(levels[depth - 1], dlen)
-    d_last, residual = _solve_delta(levels[depth], dlen)
+    root = _solve_delta(levels[depth], dlen)
+    d_last, residual = root
     lo, hi = sorted((d_prev, d_last))
     return DimensionEstimate(epsilon=eps, depth=depth, delta=d_last,
-                             bracket=(lo, hi), residual=residual)
+                             bracket=(lo, hi), residual=residual,
+                             iterations=root.iterations)
 
 
 def hd_curve(family: MapFamily, eps_grid, depth: int):

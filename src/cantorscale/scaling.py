@@ -30,6 +30,9 @@ from .symbolic import DualPoint, ZEROS
 #: approximant chain stops refining there and keeps the last reliable ratio
 LENGTH_FLOOR = 1e-11
 
+#: branches per ``apply_branches`` call of a chain that stops at the floor
+_CHAIN_BLOCK = 16
+
 
 @dataclass
 class ScalingEstimate:
@@ -68,6 +71,26 @@ def _rows_to_floor(lengths, floor: float) -> int:
     return int(short[0] if short.size else len(lengths)) + 1
 
 
+def _chain_to_floor(family: MapFamily, eps: float, sides, points,
+                    floor: float) -> np.ndarray:
+    """The rows of ``apply_branches`` up to the first block that reaches the floor.
+
+    The branches run in blocks of ``_CHAIN_BLOCK``, each resuming from the
+    last row, and stop after the first block with a row (past row 0) whose
+    first two points lie less than ``floor`` apart.  The result is a prefix
+    of the full trajectory that holds that row, so the cost follows the
+    depth reached rather than the length of ``sides``.
+    """
+    rows = apply_branches(family, eps, (), points)
+    for start in range(0, len(sides), _CHAIN_BLOCK):
+        block = apply_branches(family, eps, sides[start:start + _CHAIN_BLOCK],
+                               rows[-1])[1:]
+        rows = np.concatenate([rows, block])
+        if np.any(np.abs(block[:, 1] - block[:, 0]) < floor):
+            break
+    return rows
+
+
 def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
              metric=None, floor: float = LENGTH_FLOOR) -> ScalingEstimate:
     """Approximant sequence and extrapolated scaling value at one dual point.
@@ -77,8 +100,7 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
     is at least ``floor`` long; the error bound is the largest of the last
     three successive deltas.  The estimate counts as not converged when
     three deltas one tail period apart (one apart for a zeros or
-    truncated tail) are positive and non-decreasing.  The chain is computed
-    to ``depth`` before the floor cuts it, so the cost follows ``depth``.
+    truncated tail) are positive and non-decreasing.
     """
     if eps < 0.0:
         raise DomainError("scale_at requires eps >= 0")
@@ -89,8 +111,8 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
 
     # row k holds J = I_{i_k ... i_0} and K = I_{i_k ... i_1}
     j0 = cylinder(family, eps, Word((a.coord(0),)))
-    rows = apply_branches(family, eps, [a.coord(k) for k in range(1, n_max + 1)],
-                          [j0.lo, j0.hi, *family.domain])
+    rows = _chain_to_floor(family, eps, [a.coord(k) for k in range(1, n_max + 1)],
+                           [j0.lo, j0.hi, *family.domain], floor)
     # stop before the first child J shorter than the floor
     rows = rows[:_rows_to_floor(np.abs(rows[1:, 1] - rows[1:, 0]), floor)]
     if metric is not None:
@@ -249,9 +271,10 @@ def jump_at(family: MapFamily, a: DualPoint, depth: int,
     # chains of I_{0_n w}, I_{0_n w i} and its sibling I_{0_n w (1-i)},
     # which identifies the child at distance exactly c_n from the left end
     ci, co = (cylinder(family, eps, Word((b,))) for b in (i, 1 - i))
-    rows = apply_branches(family, eps, w_bits[::-1] + (0,) * depth,
-                          [dlo, dhi, ci.lo, ci.hi, co.lo, co.hi])
-    ends = rows[len(w_bits):].reshape(-1, 3, 2)
+    head = apply_branches(family, eps, w_bits[::-1],
+                          [dlo, dhi, ci.lo, ci.hi, co.lo, co.hi])[-1]
+    ends = _chain_to_floor(family, eps, (0,) * depth, head,
+                           floor).reshape(-1, 3, 2)
     lo, length = ends.min(axis=2), np.ptp(ends, axis=2)
     keep = _rows_to_floor(length[:, 0], floor)
     b_seq = length[:keep, 0].tolist()
@@ -307,7 +330,8 @@ def asymmetry(family: MapFamily, depth: int) -> tuple[float, bool]:
     """
     _require_bh(family)
     eps = 0.0
-    zeros = apply_branches(family, eps, (0,) * depth, family.domain)  # I_{0_n}
+    zeros = _chain_to_floor(family, eps, (0,) * depth, family.domain,  # I_{0_n}
+                            LENGTH_FLOOR)
     zeros = zeros[:_rows_to_floor(np.abs(zeros[:, 1] - zeros[:, 0]),
                                   LENGTH_FLOOR)]
     mid = apply_branches(family, eps, (1,), zeros)[-1]                # I_{1 0_n}

@@ -2,11 +2,15 @@
 
 import itertools
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 import cantorscale as cs
+from cantorscale.dimension import _solve_delta
+from cantorscale.errors import ConvergenceError
 
 
 def _eta(family, eps, n):
@@ -42,11 +46,12 @@ def test_hd_estimate_tent_oracles():
 
 
 def test_hd_estimate_quadratic_fixture():
+    # the 40-digit mpmath roots of the same binary64 partitions
     est = cs.hd_estimate(cs.Quadratic(), 0.5, 14)
-    assert est.delta == pytest.approx(0.5506927488822839, abs=1e-12)
+    assert est.delta == pytest.approx(0.55069274888361629545, abs=1e-12)
     assert est.bracket[1] - est.bracket[0] < 5e-3
     est16 = cs.hd_estimate(cs.Quadratic(), 0.5, 16)
-    assert est16.delta == pytest.approx(0.5508014651859412, abs=1e-12)
+    assert est16.delta == pytest.approx(0.55080146518495333736, abs=1e-12)
     assert abs(est16.delta - est.delta) < 5e-3
 
 
@@ -55,6 +60,89 @@ def test_hd_estimate_bracket_and_residual():
     assert est.bracket[0] <= est.delta <= est.bracket[1]
     assert abs(est.residual) < 1e-8
     assert 0.0 < est.delta < 1.0
+
+
+#: (family, eps) whose depth-10 roots are checked against mpmath
+MPMATH_CASES = [(cs.Quadratic(), 0.3), (cs.GammaPower(3.0), 0.3),
+                (cs.Figure6(0.03), 0.0), (cs.AsymQuadratic(-0.45), 0.3)]
+TENT_EPS = (0.1, 0.5, 1.0)
+#: presets whose eps = 0 cylinders tile the domain
+TILINGS = (cs.Quadratic(), cs.Figure6(0.03))
+
+
+def _domain_length(family):
+    return family.domain[1] - family.domain[0]
+
+
+def _mpmath_root(part, domain_length):
+    """The pressure root of the binary64 cell lengths at 30 digits."""
+    with mpmath.workdps(30):
+        log_r = [mpmath.log(mpmath.mpf(x) / domain_length)
+                 for x in part.lengths.tolist()]
+        return mpmath.findroot(
+            lambda d: mpmath.fsum(mpmath.exp(d * lr) for lr in log_r) - 1, 0.5)
+
+
+def _zero_cell_partitions():
+    """Four cells, one of zero length, and the same cells without it."""
+    los = np.asarray([-1.0, -0.25, 0.25, 0.5])
+    his = np.asarray([-0.5, 0.0, 0.25, 1.0])
+    keep = his > los
+    return cs.Partition(1, los, his), cs.Partition(1, los[keep], his[keep])
+
+
+@pytest.mark.parametrize("family,eps", MPMATH_CASES)
+def test_newton_root_matches_mpmath(family, eps):
+    part = cs.partition(family, eps, 10)
+    delta, residual = _solve_delta(part, _domain_length(family))
+    assert abs(delta - _mpmath_root(part, _domain_length(family))) < 1e-13
+    assert residual < 1e-10
+
+
+@pytest.mark.parametrize("eps", TENT_EPS)
+def test_newton_root_tent_moran(eps):
+    # depth 6: deeper tent endpoints cancel in the cell lengths, which
+    # moves the root of the binary64 partition itself (1.6e-14 at depth
+    # 10 for eps = 1, where it still matches its own mpmath root)
+    delta, _ = _solve_delta(cs.partition(cs.Tent(), eps, 6), 2.0)
+    assert abs(delta - math.log(2.0) / math.log(2.0 + eps)) < 1e-14
+
+
+@pytest.mark.parametrize("family", TILINGS)
+def test_tiling_root_is_exactly_one(family):
+    for depth in (6, 10, 14):
+        part = cs.partition(family, 0.0, depth)
+        assert _solve_delta(part, _domain_length(family))[0] == 1.0
+    est = cs.hd_estimate(family, 0.0, 14)
+    assert est.delta == 1.0 and est.bracket == (1.0, 1.0)
+
+
+def test_zero_length_cell_adds_nothing():
+    with_zero, without = _zero_cell_partitions()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta, residual = _solve_delta(with_zero, 2.0)
+    assert math.isfinite(delta) and residual < 1e-10
+    assert delta == _solve_delta(without, 2.0)[0]
+
+
+def test_newton_iterations_bounded():
+    roots = [_solve_delta(cs.partition(f, e, 10), _domain_length(f))
+             for f, e in MPMATH_CASES]
+    roots += [_solve_delta(cs.partition(cs.Tent(), e, 6), 2.0) for e in TENT_EPS]
+    roots += [_solve_delta(cs.partition(f, 0.0, d), _domain_length(f))
+              for f in TILINGS for d in (6, 10, 14)]
+    roots += [_solve_delta(p, 2.0) for p in _zero_cell_partitions()]
+    assert all(1 <= root.iterations <= 12 for root in roots)
+    # the estimate reports the steps of its deepest root
+    est = cs.hd_estimate(cs.Quadratic(), 0.3, 10)
+    assert est.iterations == _solve_delta(cs.partition(cs.Quadratic(), 0.3, 10),
+                                          2.0).iterations
+
+
+def test_newton_root_raises_above_tolerance():
+    with pytest.raises(ConvergenceError):
+        _solve_delta(cs.partition(cs.Quadratic(), 0.3, 8), 2.0, tol=0.0)
 
 
 def test_hd_curve_tent_closed_form():

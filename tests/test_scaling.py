@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cantorscale as cs
+from cantorscale.scaling import _CHAIN_BLOCK
 
 
 def test_tent_scaling_is_exactly_one_third():
@@ -181,3 +182,34 @@ def test_asymmetry():
     assert conv
     assert v == pytest.approx(0.5773504850887842, abs=1e-9)
     assert abs(v - 1.0) > 0.1
+
+
+def _count_inverse_calls(family):
+    """Wrap ``family.inverse_branch``; the returned list grows by one per call."""
+    calls = []
+    inverse = family.inverse_branch
+
+    def counted(*args):
+        calls.append(1)
+        return inverse(*args)
+
+    family.inverse_branch = counted
+    return calls
+
+
+@pytest.mark.parametrize("chain", [
+    lambda fam, depth: cs.scale_at(
+        fam, 0.0, cs.parse_dual_point("0^inf|1."), depth).approximant_sequence,
+    lambda fam, depth: cs.jump_at(fam, cs.parse_dual_point("0^inf|10."), depth),
+    lambda fam, depth: cs.asymmetry(fam, depth),
+], ids=["scale_at", "jump_at", "asymmetry"])
+def test_chain_cost_follows_the_depth_reached(chain):
+    # the quadratic chains reach LENGTH_FLOOR before depth 25
+    results, calls = [], []
+    for depth in (25, 100_000):
+        family = cs.Quadratic()
+        counter = _count_inverse_calls(family)
+        results.append(chain(family, depth))
+        calls.append(len(counter))
+    assert results[0] == results[1]
+    assert calls[1] <= calls[0] + _CHAIN_BLOCK
