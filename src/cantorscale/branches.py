@@ -32,10 +32,6 @@ class Word:
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("word bits must be 0 or 1")
 
-    @classmethod
-    def parse(cls, text: str) -> "Word":
-        return cls(tuple(int(ch) for ch in text))
-
     def append(self, bit: int) -> "Word":
         """New innermost bit (rightmost)."""
         return Word(self.bits + (bit,))
@@ -122,10 +118,6 @@ class Partition:
                      for j in range(self.word_length))
         return Word(bits)
 
-    def cylinders(self) -> list[Cylinder]:
-        return [Cylinder(self.word(i), float(self.los[i]), float(self.his[i]))
-                for i in range(len(self))]
-
 
 def _refine(family: MapFamily, eps: float,
             los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,13 +129,13 @@ def _refine(family: MapFamily, eps: float,
     return np.concatenate([lo0, lo1]), np.concatenate([hi0, hi1])
 
 
-def partition_levels(family: MapFamily, eps: float, n: int,
-                     budget: int = DEFAULT_DEPTH_BUDGET) -> list[Partition]:
+def partition_levels(family: MapFamily, eps: float, n: int) -> list[Partition]:
     """Partitions for every depth 0..n, built one branch application per level."""
     if n < 0:
         raise ValueError("depth must be >= 0")
-    if n > budget:
-        raise BudgetExceededError(f"depth {n} exceeds budget {budget}")
+    if n > DEFAULT_DEPTH_BUDGET:
+        raise BudgetExceededError(
+            f"depth {n} exceeds budget {DEFAULT_DEPTH_BUDGET}")
     eps = family.check_param(eps)
     dlo, dhi = family.domain
     los = np.asarray([dlo])
@@ -155,14 +147,12 @@ def partition_levels(family: MapFamily, eps: float, n: int,
     return levels
 
 
-def partition(family: MapFamily, eps: float, n: int,
-              budget: int = DEFAULT_DEPTH_BUDGET) -> Partition:
+def partition(family: MapFamily, eps: float, n: int) -> Partition:
     """The depth-n partition: all 2^(n+1) cylinders with words of length n+1."""
-    return partition_levels(family, eps, n, budget=budget)[-1]
+    return partition_levels(family, eps, n)[-1]
 
 
-def decay_rate(family: MapFamily, eps: float, n_max: int,
-               budget: int = DEFAULT_DEPTH_BUDGET):
+def decay_rate(family: MapFamily, eps: float, n_max: int):
     """Least-squares exponential fit of the maximal cylinder lengths.
 
     Fits ``log lambda_n ~ log C + n log lam`` over n = 2..n_max and returns
@@ -171,7 +161,7 @@ def decay_rate(family: MapFamily, eps: float, n_max: int,
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
-    levels = partition_levels(family, eps, n_max, budget=budget)
+    levels = partition_levels(family, eps, n_max)
     ns = np.arange(2, n_max + 1)
     lam = np.asarray([levels[n].lambda_n for n in ns])
     slope, intercept = np.polyfit(ns, np.log(lam), 1)

@@ -23,9 +23,9 @@ so a fixed config and seed produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -72,12 +72,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Stream ``rows`` as comma-joined lines ended by CRLF, as ``csv.writer``
+    writes them; no cell written here needs quoting."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else str(v)
-                             for v in row])
+        fh.writelines(",".join([_fmt(v) if isinstance(v, float) else str(v)
+                                for v in row]) + "\r\n"
+                      for row in chain([header], rows))
 
 
 class Experiment:
@@ -140,10 +140,10 @@ class Experiment:
     def cmd_partition(self) -> str:
         part = branches.partition(self.family, self.eps, self.depth)
         width = part.word_length
-        rows = [(format(i, f"0{width}b"), lo, hi, length,
+        rows = ((format(i, f"0{width}b"), lo, hi, length,
                  -1 if i.bit_count() % 2 else 1)
                 for i, (lo, hi, length) in enumerate(zip(
-                    part.los.tolist(), part.his.tolist(), part.lengths.tolist()))]
+                    part.los.tolist(), part.his.tolist(), part.lengths.tolist())))
         _write_csv(self.path(".csv"), ["word", "lo", "hi", "length",
                                        "orientation"], rows)
         return (f"partition depth={self.depth} cells={len(part)} "
@@ -151,8 +151,7 @@ class Experiment:
 
     def cmd_scaling_graph(self) -> str:
         rows = scaling.scaling_graph(self.family, self.eps, self.depth)
-        _write_csv(self.path(".csv"), ["x_coord", "word", "s"],
-                   [(float(x), w, float(s)) for x, w, s in rows])
+        _write_csv(self.path(".csv"), ["x_coord", "word", "s"], rows)
         vals = [s for _, _, s in rows]
         return (f"scaling-graph depth={self.depth} rows={len(rows)} "
                 f"s_range=[{min(vals):.4f},{max(vals):.4f}]")

@@ -103,35 +103,27 @@ def gap(family: MapFamily, eps: float, word: Word | None) -> GapRecord:
 def gap_geometry(family: MapFamily, eps: float, depth: int,
                  include_table: bool = False) -> GapGeometrySummary:
     """Aggregate gap and child ratios over all words of length <= depth."""
-    levels = partition_levels(family, eps, depth)
     dlo, dhi = family.domain
-
+    parent_len = np.asarray([dhi - dlo])   # the domain is the parent of level 0
     min_gap, max_gap, min_child = math.inf, -math.inf, math.inf
     records: list[GapRecord] | None = [] if include_table else None
-
-    def visit(word_str, p_len, lo0, hi0, lo1, hi1):
-        nonlocal min_gap, max_gap, min_child
-        r0 = (hi0 - lo0) / p_len
-        r1 = (hi1 - lo1) / p_len
-        g = max(1.0 - r0 - r1, 0.0)
-        min_gap, max_gap = min(min_gap, g), max(max_gap, g)
-        min_child = min(min_child, r0, r1)
+    # the children of parent j at level k - 1 sit at 2j and 2j + 1 of level k
+    for k, level in enumerate(partition_levels(family, eps, depth)):
+        lo0, lo1 = level.los[0::2], level.los[1::2]
+        hi0, hi1 = level.his[0::2], level.his[1::2]
+        r0 = (hi0 - lo0) / parent_len
+        r1 = (hi1 - lo1) / parent_len
+        g = np.maximum(1.0 - r0 - r1, 0.0)
+        min_gap = min(min_gap, float(g.min()))
+        max_gap = max(max_gap, float(g.max()))
+        min_child = min(min_child, float(r0.min()), float(r1.min()))
         if records is not None:
-            left_hi = min(hi0, hi1)
-            right_lo = max(lo0, lo1)
-            records.append(GapRecord(word_str, (left_hi, right_lo), g, (r0, r1)))
-
-    # leading gap: the domain against the level-0 children
-    l0 = levels[0]
-    visit("", dhi - dlo, float(l0.los[0]), float(l0.his[0]),
-          float(l0.los[1]), float(l0.his[1]))
-    for k in range(1, depth + 1):
-        parent, child = levels[k - 1], levels[k]
-        p_len = parent.lengths
-        for j in range(len(parent)):
-            visit(str(parent.word(j)), float(p_len[j]),
-                  float(child.los[2 * j]), float(child.his[2 * j]),
-                  float(child.los[2 * j + 1]), float(child.his[2 * j + 1]))
+            words = [format(j, f"0{k}b") for j in range(g.size)] if k else [""]
+            records += map(GapRecord, words,
+                           zip(np.minimum(hi0, hi1).tolist(),
+                               np.maximum(lo0, lo1).tolist()),
+                           g.tolist(), zip(r0.tolist(), r1.tolist()))
+        parent_len = level.lengths
 
     return GapGeometrySummary(depth=depth, min_gap_ratio=min_gap,
                               max_gap_ratio=max_gap,

@@ -18,6 +18,7 @@ exponent and the critical-point asymmetry from the same cylinder data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -75,16 +76,17 @@ def _chain_to_floor(family: MapFamily, eps: float, sides, points,
                     floor: float) -> np.ndarray:
     """The rows of ``apply_branches`` up to the first block that reaches the floor.
 
-    The branches run in blocks of ``_CHAIN_BLOCK``, each resuming from the
-    last row, and stop after the first block with a row (past row 0) whose
-    first two points lie less than ``floor`` apart.  The result is a prefix
-    of the full trajectory that holds that row, so the cost follows the
-    depth reached rather than the length of ``sides``.
+    ``sides`` is any iterable of branches; it is read ``_CHAIN_BLOCK`` at a
+    time, each block resuming from the last row, and reading stops after
+    the first block with a row (past row 0) whose first two points lie
+    less than ``floor`` apart.  The result is a prefix of the full
+    trajectory that holds that row, so the cost follows the depth reached
+    rather than the length of ``sides``.
     """
     rows = apply_branches(family, eps, (), points)
-    for start in range(0, len(sides), _CHAIN_BLOCK):
-        block = apply_branches(family, eps, sides[start:start + _CHAIN_BLOCK],
-                               rows[-1])[1:]
+    sides = iter(sides)
+    while block_sides := tuple(islice(sides, _CHAIN_BLOCK)):
+        block = apply_branches(family, eps, block_sides, rows[-1])[1:]
         rows = np.concatenate([rows, block])
         if np.any(np.abs(block[:, 1] - block[:, 0]) < floor):
             break
@@ -111,7 +113,7 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
 
     # row k holds J = I_{i_k ... i_0} and K = I_{i_k ... i_1}
     j0 = cylinder(family, eps, Word((a.coord(0),)))
-    rows = _chain_to_floor(family, eps, [a.coord(k) for k in range(1, n_max + 1)],
+    rows = _chain_to_floor(family, eps, (a.coord(k) for k in range(1, n_max + 1)),
                            [j0.lo, j0.hi, *family.domain], floor)
     # stop before the first child J shorter than the floor
     rows = rows[:_rows_to_floor(np.abs(rows[1:, 1] - rows[1:, 0]), floor)]
@@ -134,45 +136,33 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
         error_bound=error_bound, converged=converged)
 
 
-def scaling_graph(family: MapFamily, eps: float, depth: int,
-                  metric=None, budget: int = 22):
+def scaling_graph(family: MapFamily, eps: float, depth: int, metric=None):
     """Rows ``(x_coord, word, s)`` over all words of length depth+1.
 
     The abscissa embeds the dual point into [0, 1) with the innermost
     coordinate i0 as most significant bit, so graph continuity mirrors
     continuity on the dual Cantor set.  Rows are sorted by x_coord.
+    ``metric`` switches to ratios of h-image lengths.
     """
-    levels = partition_levels(family, eps, depth, budget=budget)
-    child = levels[depth]
-    n_bits = depth + 1
-    if metric is None:
-        child_len = child.lengths
-        parent_len = (levels[depth - 1].lengths if depth >= 1
-                      else np.asarray([family.domain[1] - family.domain[0]]))
-    else:
-        h_lo, h_hi = metric.h(child.los), metric.h(child.his)
-        child_len = h_hi - h_lo
-        if depth >= 1:
-            p = levels[depth - 1]
-            parent_len = metric.h(p.his) - metric.h(p.los)
-        else:
-            parent_len = np.asarray([metric.h(family.domain[1])
-                                     - metric.h(family.domain[0])])
-    s = child_len / parent_len[np.arange(len(child)) >> 1]
+    dlo, dhi = family.domain
+    # endpoints by level; the domain is the parent of level 0
+    ends = [([dlo], [dhi])] + [(level.los, level.his)
+                               for level in partition_levels(family, eps, depth)]
+    h = np.asarray if metric is None else metric.h
+    parent_len, child_len = (h(hi) - h(lo) for lo, hi in ends[-2:])
+    s = child_len / np.repeat(parent_len, 2)
 
-    idx = np.arange(len(child), dtype=np.int64)
-    rev = np.zeros_like(idx)
-    v = idx.copy()
+    # x of cell i is its bit reversal over 2^n_bits; bit reversal is its own
+    # inverse, so the k-th row in x order is cell rev[k] and x = k / 2^n_bits
+    n_bits = depth + 1
+    rev = np.zeros(s.size, dtype=np.int64)
+    v = np.arange(s.size, dtype=np.int64)
     for _ in range(n_bits):
         rev = (rev << 1) | (v & 1)
         v >>= 1
-    x = rev / float(1 << n_bits)
-
-    order = np.argsort(x, kind="stable")
-    rows = []
-    for i in order:
-        rows.append((float(x[i]), str(child.word(int(i))), float(s[i])))
-    return rows
+    words = (format(i, f"0{n_bits}b") for i in rev.tolist())
+    return list(zip((np.arange(s.size) / s.size).tolist(), words,
+                    s[rev].tolist()))
 
 
 def scaling_convergence(family: MapFamily, eps_grid, sample_points, depth: int):
@@ -273,7 +263,7 @@ def jump_at(family: MapFamily, a: DualPoint, depth: int,
     ci, co = (cylinder(family, eps, Word((b,))) for b in (i, 1 - i))
     head = apply_branches(family, eps, w_bits[::-1],
                           [dlo, dhi, ci.lo, ci.hi, co.lo, co.hi])[-1]
-    ends = _chain_to_floor(family, eps, (0,) * depth, head,
+    ends = _chain_to_floor(family, eps, repeat(0, depth), head,
                            floor).reshape(-1, 3, 2)
     lo, length = ends.min(axis=2), np.ptp(ends, axis=2)
     keep = _rows_to_floor(length[:, 0], floor)
@@ -330,7 +320,7 @@ def asymmetry(family: MapFamily, depth: int) -> tuple[float, bool]:
     """
     _require_bh(family)
     eps = 0.0
-    zeros = _chain_to_floor(family, eps, (0,) * depth, family.domain,  # I_{0_n}
+    zeros = _chain_to_floor(family, eps, repeat(0, depth), family.domain,  # I_{0_n}
                             LENGTH_FLOOR)
     zeros = zeros[:_rows_to_floor(np.abs(zeros[:, 1] - zeros[:, 0]),
                                   LENGTH_FLOOR)]

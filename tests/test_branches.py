@@ -56,7 +56,7 @@ def test_orientation_is_one_bit_parity():
 def test_partition_examples():
     t = cs.Tent()
     p0 = cs.partition(t, 0.0, 0)
-    cells = sorted((c.lo, c.hi) for c in p0.cylinders())
+    cells = sorted(zip(p0.los, p0.his))
     assert cells[0] == pytest.approx((-1.0, 0.0), abs=1e-12)
     assert cells[1] == pytest.approx((0.0, 1.0), abs=1e-12)
     assert p0.lambda_n == pytest.approx(1.0, abs=1e-12)

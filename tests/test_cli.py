@@ -1,6 +1,7 @@
 """End-to-end runs of the experiment CLI."""
 
 import csv
+import io
 import json
 import math
 
@@ -58,6 +59,37 @@ def test_scaling_graph_command(tmp_path):
     rows = read_csv(tmp_path / "graph.csv")
     assert len(rows) == 2 ** 9
     assert all(0.0 < float(r["s"]) < 1.0 for r in rows)
+
+
+
+def _csv_writer_bytes(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row]
+                     for row in rows)
+    return buf.getvalue().encode()
+
+
+def test_csv_artifacts_match_csv_writer_bytes(tmp_path):
+    # csv.reader also accepts "\n" line ends, so compare the raw bytes
+    fam = cantorscale.GammaPower(3.0)
+    spec = {"kind": "gamma_power", "params": {"gamma": 3.0}}
+    assert run_cli(tmp_path, {"command": "partition", "family": spec,
+                              "epsilon": 0.2, "depth": 7}) == 0
+    part = cantorscale.partition(fam, 0.2, 7)
+    expected = _csv_writer_bytes(
+        ["word", "lo", "hi", "length", "orientation"],
+        [(str(part.word(i)), float(part.los[i]), float(part.his[i]),
+          float(part.lengths[i]), part.word(i).parity)
+         for i in range(len(part))])
+    assert (tmp_path / "partition.csv").read_bytes() == expected
+
+    assert run_cli(tmp_path, {"command": "scaling-graph", "family": spec,
+                              "epsilon": 0.2, "depth": 7}) == 0
+    expected = _csv_writer_bytes(["x_coord", "word", "s"],
+                                 cantorscale.scaling_graph(fam, 0.2, 7))
+    assert (tmp_path / "scaling_graph.csv").read_bytes() == expected
 
 
 def test_scaling_point_command(tmp_path):

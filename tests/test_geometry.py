@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cantorscale as cs
+from cantorscale.geometry import GapGeometrySummary
 
 
 def test_leading_gap_examples():
@@ -163,3 +164,49 @@ def test_min_child_ratio_stability():
     ratios = [cs.gap_geometry(cs.Quadratic(), 0.2, d).min_child_ratio
               for d in range(4, 9)]
     assert max(ratios) / min(ratios) < 1.2
+
+
+def _gap_geometry_loop(family, eps, depth, include_table=False):
+    """Reference: ``gap_geometry`` as one Python visit per parent cylinder."""
+    levels = cs.partition_levels(family, eps, depth)
+    dlo, dhi = family.domain
+    min_gap, max_gap, min_child = math.inf, -math.inf, math.inf
+    records = [] if include_table else None
+
+    def visit(word_str, p_len, lo0, hi0, lo1, hi1):
+        nonlocal min_gap, max_gap, min_child
+        r0 = (hi0 - lo0) / p_len
+        r1 = (hi1 - lo1) / p_len
+        g = max(1.0 - r0 - r1, 0.0)
+        min_gap, max_gap = min(min_gap, g), max(max_gap, g)
+        min_child = min(min_child, r0, r1)
+        if records is not None:
+            records.append(cs.GapRecord(word_str, (min(hi0, hi1), max(lo0, lo1)),
+                                        g, (r0, r1)))
+
+    l0 = levels[0]
+    visit("", dhi - dlo, float(l0.los[0]), float(l0.his[0]),
+          float(l0.los[1]), float(l0.his[1]))
+    for k in range(1, depth + 1):
+        parent, child = levels[k - 1], levels[k]
+        p_len = parent.lengths
+        for j in range(len(parent)):
+            visit(str(parent.word(j)), float(p_len[j]),
+                  float(child.los[2 * j]), float(child.his[2 * j]),
+                  float(child.los[2 * j + 1]), float(child.his[2 * j + 1]))
+    return GapGeometrySummary(depth=depth, min_gap_ratio=min_gap,
+                              max_gap_ratio=max_gap,
+                              min_child_ratio=min_child, records=records)
+
+
+@pytest.mark.parametrize("family,eps", [
+    (cs.Quadratic(), 0.0), (cs.Quadratic(), 0.3), (cs.Tent(), 1.0),
+    (cs.GammaPower(3.0), 0.2), (cs.AsymQuadratic(-0.45), 0.1),
+    (cs.Figure6(-0.03), 0.0), (cs.Figure6(0.02, normalize=False), 0.0),
+], ids=["quadratic-0", "quadratic-0.3", "tent", "gamma3", "asym", "figure6",
+        "figure6-raw"])
+@pytest.mark.parametrize("depth", [0, 1, 5, 9])
+def test_gap_geometry_matches_the_per_parent_loop(family, eps, depth):
+    for include_table in (False, True):
+        assert (cs.gap_geometry(family, eps, depth, include_table)
+                == _gap_geometry_loop(family, eps, depth, include_table))

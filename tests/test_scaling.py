@@ -213,3 +213,66 @@ def test_chain_cost_follows_the_depth_reached(chain):
         calls.append(len(counter))
     assert results[0] == results[1]
     assert calls[1] <= calls[0] + _CHAIN_BLOCK
+
+
+def _scaling_graph_words(family, eps, depth, metric=None):
+    """Reference: ``scaling_graph`` sorted by ``argsort`` with one ``Word`` per row."""
+    levels = cs.partition_levels(family, eps, depth)
+    child = levels[depth]
+    n_bits = depth + 1
+    if metric is None:
+        child_len = child.lengths
+        parent_len = (levels[depth - 1].lengths if depth >= 1
+                      else np.asarray([family.domain[1] - family.domain[0]]))
+    else:
+        child_len = metric.h(child.his) - metric.h(child.los)
+        if depth >= 1:
+            p = levels[depth - 1]
+            parent_len = metric.h(p.his) - metric.h(p.los)
+        else:
+            parent_len = np.asarray([metric.h(family.domain[1])
+                                     - metric.h(family.domain[0])])
+    s = child_len / parent_len[np.arange(len(child)) >> 1]
+    idx = np.arange(len(child), dtype=np.int64)
+    rev = np.zeros_like(idx)
+    v = idx.copy()
+    for _ in range(n_bits):
+        rev = (rev << 1) | (v & 1)
+        v >>= 1
+    x = rev / float(1 << n_bits)
+    return [(float(x[i]), str(child.word(int(i))), float(s[i]))
+            for i in np.argsort(x, kind="stable")]
+
+
+@pytest.mark.parametrize("family,eps", [
+    (cs.Quadratic(), 0.0), (cs.Quadratic(), 0.3), (cs.Tent(), 1.0),
+    (cs.GammaPower(3.0), 0.2), (cs.AsymQuadratic(0.3), 0.0),
+    (cs.Figure6(-0.03), 0.0), (cs.Figure6(0.02, normalize=False), 0.0),
+], ids=["quadratic-0", "quadratic-0.3", "tent", "gamma3", "asym", "figure6",
+        "figure6-raw"])
+@pytest.mark.parametrize("depth", [0, 1, 4, 9])
+def test_scaling_graph_matches_the_word_loop(family, eps, depth):
+    metrics = [None]
+    if family.gamma > 1 and family.domain == (-1.0, 1.0):
+        metrics.append(cs.MetricChange(family.gamma, eps))
+    for metric in metrics:
+        if metric is not None and family.gamma != 2.0 and depth > 4:
+            continue  # quadrature per endpoint: keep the gamma != 2 grids small
+        assert (cs.scaling_graph(family, eps, depth, metric=metric)
+                == _scaling_graph_words(family, eps, depth, metric=metric))
+
+
+def test_scale_at_reads_coordinates_as_far_as_the_chain_reaches(monkeypatch):
+    # the coordinates are read one chain block at a time, not all `depth`
+    # of them up front
+    calls = []
+    coord = cs.DualPoint.coord
+
+    def counted(self, k):
+        calls.append(k)
+        return coord(self, k)
+
+    monkeypatch.setattr(cs.DualPoint, "coord", counted)
+    est = cs.scale_at(cs.Quadratic(), 0.0, cs.parse_dual_point("0^inf|1."),
+                      100_000)
+    assert len(calls) <= est.effective_depth + 2 * _CHAIN_BLOCK
