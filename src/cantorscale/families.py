@@ -39,10 +39,15 @@ import numpy as np
 
 from .errors import DomainError, ParameterRangeError
 
-# Finite-difference steps: first derivative, and the wider step used for
-# the second/third-derivative stencils (truncation vs roundoff at binary64).
-FD_STEP_FIRST = 1e-6
+# Finite-difference step of the second/third-derivative stencils
+# (truncation vs roundoff at binary64).
 FD_STEP_HIGH = 1e-4
+
+#: distance from the critical point at which ``residual_limits`` reads r_f
+RESIDUAL_PROBE = 1e-9
+
+#: sample points of the Schwarzian grid in ``smoothness_report``
+SCHWARZIAN_GRID = 400
 
 
 @dataclass(frozen=True)
@@ -65,12 +70,13 @@ class MapFamily:
     """Base class for the presets.  Subclasses fill in closed forms."""
 
     kind: str = "base"
+    #: the eps accepted by ``check_param``
+    param_range: tuple[float, float] = (0.0, 1.0)
 
     def __init__(self, gamma: float, domain: tuple[float, float],
-                 param_range: tuple[float, float], extra: dict | None = None):
+                 extra: dict | None = None):
         self.gamma = float(gamma)
         self.domain = (float(domain[0]), float(domain[1]))
-        self.param_range = (float(param_range[0]), float(param_range[1]))
         self.extra = dict(extra or {})
 
     # -- validation -------------------------------------------------------
@@ -84,16 +90,10 @@ class MapFamily:
 
     def check_domain(self, x) -> None:
         lo, hi = self.domain
-        if isinstance(x, (float, np.floating)):
-            # scalar fast path; NaN passes here as in the array test
-            outside = x < lo - 1e-12 or x > hi + 1e-12
-        else:
-            # fmin/fmax skip NaN; the initial values let an empty array pass
-            x = np.asarray(x, dtype=float)
-            outside = (np.fmin.reduce(x, axis=None, initial=np.inf) < lo - 1e-12
-                       or np.fmax.reduce(x, axis=None, initial=-np.inf)
-                       > hi + 1e-12)
-        if outside:
+        # fmin/fmax skip NaN; the initial values let an empty array pass
+        x = np.asarray(x, dtype=float)
+        if (np.fmin.reduce(x, axis=None, initial=np.inf) < lo - 1e-12
+                or np.fmax.reduce(x, axis=None, initial=-np.inf) > hi + 1e-12):
             raise DomainError(f"{self.kind}: point outside [{lo}, {hi}]")
 
     # -- core evaluations (subclasses override the raw forms) -------------
@@ -134,10 +134,10 @@ class MapFamily:
         r = self._deriv_raw(eps, x) / np.abs(x) ** (self.gamma - 1.0)
         return float(r) if r.ndim == 0 else r
 
-    def residual_limits(self, eps: float, probe: float = 1e-9) -> tuple[float, float]:
+    def residual_limits(self, eps: float) -> tuple[float, float]:
         """One-sided limits (A, -B) of the residual at the critical point."""
-        return (float(self.power_law_residual(eps, -probe)),
-                float(self.power_law_residual(eps, probe)))
+        return (float(self.power_law_residual(eps, -RESIDUAL_PROBE)),
+                float(self.power_law_residual(eps, RESIDUAL_PROBE)))
 
     # -- inverse branches -------------------------------------------------
 
@@ -153,7 +153,8 @@ class MapFamily:
         self.check_domain(y)
         if side not in (0, 1):
             raise ValueError(f"side must be 0 or 1, got {side}")
-        return self._inverse(eps, side, y)
+        x = self._inverse(eps, side, y)
+        return float(x) if x.ndim == 0 else x
 
     def _inverse(self, eps: float, side: int, y):
         raise NotImplementedError
@@ -174,12 +175,11 @@ class MapFamily:
         t = np.sqrt(2.0 * c / (b + np.sqrt(b * b + 4.0 * a * c)))
         x = np.where(c == 0.0, 0.0, -t if side == 0 else t)
         dlo, dhi = self.domain
-        x = np.where(y == dlo, dlo if side == 0 else dhi, x)
-        return float(x) if x.ndim == 0 else x
+        return np.where(y == dlo, dlo if side == 0 else dhi, x)
 
     # -- diagnostics ------------------------------------------------------
 
-    def smoothness_report(self, eps: float, grid_size: int = 400) -> SmoothnessReport:
+    def smoothness_report(self, eps: float) -> SmoothnessReport:
         """Sampled Schwarzian sign, endpoint expansion and residual regularity."""
         eps = self.check_param(eps)
         dlo, dhi = self.domain
@@ -192,7 +192,8 @@ class MapFamily:
         defined = not self.piecewise_linear
         if defined:
             # exclude a neighbourhood of the critical point and the endpoints
-            xs = np.linspace(dlo + 0.02 * half, dhi - 0.02 * half, grid_size)
+            xs = np.linspace(dlo + 0.02 * half, dhi - 0.02 * half,
+                             SCHWARZIAN_GRID)
             xs = xs[np.abs(xs) > 0.05 * half]
             h = FD_STEP_HIGH * half
             f1 = self._deriv_raw(eps, xs)
@@ -214,15 +215,10 @@ class MapFamily:
 
     def _residual_holder(self, eps: float) -> tuple[float, float]:
         # empirical Holder-1 constant of r_f on each side via dyadic sampling
-        ks = np.arange(3, 12)
-        out = []
-        for sign in (-1.0, 1.0):
-            xs = sign * 0.5 ** ks
-            r = np.asarray([self.power_law_residual(eps, float(x)) for x in xs])
-            num = np.abs(np.diff(r))
-            den = np.abs(np.diff(xs))
-            out.append(float(np.max(num / den)))
-        return (out[0], out[1])
+        xs = np.outer((-1.0, 1.0), 0.5 ** np.arange(3, 12))
+        r = self.power_law_residual(eps, xs)
+        left, right = np.max(np.abs(np.diff(r)) / np.abs(np.diff(xs)), axis=1)
+        return (float(left), float(right))
 
     @property
     def piecewise_linear(self) -> bool:
@@ -237,39 +233,14 @@ class MapFamily:
 # ---------------------------------------------------------------------------
 
 
-class Quadratic(MapFamily):
-    """q_eps(x) = 1 + eps - (2 + eps) x^2 on [-1, 1]; gamma = 2."""
+class _PowerLaw(MapFamily):
+    """f_eps(x) = 1 + eps - (2 + eps) |x|^gamma on [-1, 1].
 
-    kind = "quadratic"
+    The inverse branches are ``-+((1 + eps - y) / (2 + eps))^(1/gamma)``.
+    """
 
-    def __init__(self, param_range=(0.0, 1.0)):
-        super().__init__(gamma=2.0, domain=(-1.0, 1.0), param_range=param_range)
-
-    def _eval_raw(self, eps, x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 + eps - (2.0 + eps) * x * x
-
-    def _deriv_raw(self, eps, x):
-        x = np.asarray(x, dtype=float)
-        return -2.0 * (2.0 + eps) * x
-
-    def _inverse(self, eps, side, y):
-        y = np.asarray(y, dtype=float)
-        t = np.sqrt(np.maximum((1.0 + eps - y) / (2.0 + eps), 0.0))
-        x = -t if side == 0 else t
-        return float(x) if x.ndim == 0 else x
-
-
-class GammaPower(MapFamily):
-    """f_eps(x) = 1 + eps - (2 + eps) |x|^gamma on [-1, 1]."""
-
-    kind = "gamma_power"
-
-    def __init__(self, gamma: float, param_range=(0.0, 1.0)):
-        if not gamma > 1.0:
-            raise ParameterRangeError("gamma_power requires gamma > 1")
-        super().__init__(gamma=gamma, domain=(-1.0, 1.0),
-                         param_range=param_range, extra={"gamma": gamma})
+    def __init__(self, gamma: float, extra: dict | None = None):
+        super().__init__(gamma=gamma, domain=(-1.0, 1.0), extra=extra)
 
     def _eval_raw(self, eps, x):
         x = np.asarray(x, dtype=float)
@@ -281,27 +252,40 @@ class GammaPower(MapFamily):
         return -g * (2.0 + eps) * np.abs(x) ** (g - 1.0) * np.sign(x)
 
     def _inverse(self, eps, side, y):
-        y = np.asarray(y, dtype=float)
-        t = np.maximum((1.0 + eps - y) / (2.0 + eps), 0.0) ** (1.0 / self.gamma)
-        x = -t if side == 0 else t
-        return float(x) if x.ndim == 0 else x
+        t = np.maximum((1.0 + eps - np.asarray(y, dtype=float)) / (2.0 + eps), 0.0)
+        # an ndarray power takes np.sqrt at gamma = 2 and rounds a scalar as
+        # it rounds an array element; a numpy float scalar's power does not
+        t = np.asarray(t) ** (1.0 / self.gamma)
+        return -t if side == 0 else t
 
 
-class Tent(MapFamily):
+class Quadratic(_PowerLaw):
+    """q_eps(x) = 1 + eps - (2 + eps) x^2 on [-1, 1]; gamma = 2."""
+
+    kind = "quadratic"
+
+    def __init__(self):
+        super().__init__(2.0)
+
+
+class GammaPower(_PowerLaw):
+    """f_eps(x) = 1 + eps - (2 + eps) |x|^gamma on [-1, 1]."""
+
+    kind = "gamma_power"
+
+    def __init__(self, gamma: float):
+        if not gamma > 1.0:
+            raise ParameterRangeError("gamma_power requires gamma > 1")
+        super().__init__(gamma, extra={"gamma": gamma})
+
+
+class Tent(_PowerLaw):
     """f_eps(x) = 1 + eps - (2 + eps) |x|: piecewise linear closed-form oracle."""
 
     kind = "tent"
 
-    def __init__(self, param_range=(0.0, 1.0)):
-        super().__init__(gamma=1.0, domain=(-1.0, 1.0), param_range=param_range)
-
-    def _eval_raw(self, eps, x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 + eps - (2.0 + eps) * np.abs(x)
-
-    def _deriv_raw(self, eps, x):
-        x = np.asarray(x, dtype=float)
-        return -(2.0 + eps) * np.sign(x)
+    def __init__(self):
+        super().__init__(1.0)
 
     def deriv(self, eps, x, side=None):
         eps = self.check_param(eps)
@@ -314,12 +298,6 @@ class Tent(MapFamily):
             d = np.where(x_arr == 0.0, slope, self._deriv_raw(eps, x_arr))
             return float(d) if d.ndim == 0 else d
         return self._deriv_raw(eps, x_arr)
-
-    def _inverse(self, eps, side, y):
-        y = np.asarray(y, dtype=float)
-        t = np.maximum(1.0 + eps - y, 0.0) / (2.0 + eps)
-        x = -t if side == 0 else t
-        return float(x) if x.ndim == 0 else x
 
     @property
     def piecewise_linear(self) -> bool:
@@ -338,13 +316,14 @@ class Figure6(MapFamily):
 
     kind = "figure6"
     C_RANGE = (-0.06, 0.06)
+    param_range = (0.0, 0.0)
 
     def __init__(self, c: float, normalize: bool = True):
         lo, hi = self.C_RANGE
         if not (lo <= c <= hi):
             raise ParameterRangeError(f"figure6: c={c} outside [{lo}, {hi}]")
         dom = (-1.0, 1.0) if normalize else (-2.0, 2.0)
-        super().__init__(gamma=2.0, domain=dom, param_range=(0.0, 0.0),
+        super().__init__(gamma=2.0, domain=dom,
                          extra={"c": float(c), "normalized": normalize})
         self.c = float(c)
         self.normalized = normalize
@@ -388,12 +367,13 @@ class AsymQuadratic(MapFamily):
     """
 
     kind = "asym_quadratic"
+    param_range = (0.0, 0.5)
 
-    def __init__(self, beta: float, param_range=(0.0, 0.5)):
+    def __init__(self, beta: float):
         if not abs(beta) < 1.0:
             raise ParameterRangeError("asym_quadratic requires |beta| < 1")
         super().__init__(gamma=2.0, domain=(-1.0, 1.0),
-                         param_range=param_range, extra={"beta": float(beta)})
+                         extra={"beta": float(beta)})
         self.beta = float(beta)
 
     def _coeffs(self, eps):

@@ -26,6 +26,10 @@ from .families import GammaPower, MapFamily
 #: sampling: the uniform bound degenerates as d_xy -> 0
 MIN_BOUNDARY_DISTANCE = 1e-3
 
+#: grid points per cell on which ``estimate_constants`` samples f', h'
+#: and the conjugate map's derivative
+CONSTANT_SAMPLES = 80
+
 
 @dataclass(frozen=True)
 class GapRecord:
@@ -175,8 +179,7 @@ def default_alpha(family: MapFamily) -> float:
     return 1.0
 
 
-def estimate_constants(family: MapFamily, eps: float,
-                       samples: int = 80) -> GoodFamilyConstants:
+def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
     """Empirical distortion constants of the family at one eps.
 
     ``c1, K1`` bound ``f'`` on the depth-1 cylinders I_0 and I_1 (every
@@ -205,8 +208,8 @@ def estimate_constants(family: MapFamily, eps: float,
         return np.abs(np.asarray(family.deriv(eps, xs)))
 
     eta0 = levels[0]
-    xs_left = np.linspace(float(eta0.los[0]), float(eta0.his[0]), samples)
-    xs_right = np.linspace(float(eta0.los[1]), float(eta0.his[1]), samples)
+    xs_left = np.linspace(float(eta0.los[0]), float(eta0.his[0]), CONSTANT_SAMPLES)
+    xs_right = np.linspace(float(eta0.los[1]), float(eta0.his[1]), CONSTANT_SAMPLES)
     c1 = float(min(np.min(fprime(xs_left)), np.min(fprime(xs_right))))
     if c1 <= 0.0:
         raise DomainError(
@@ -221,17 +224,17 @@ def estimate_constants(family: MapFamily, eps: float,
         c2 = c3 = 1.0
         K2 = K3 = 0.0
     else:
-        from .metric import MetricChange, tilde_deriv
+        from .metric import MetricChange, _tilde_deriv_at
         m = MetricChange(g, eps)
         c2, K2, c3, K3 = math.inf, 0.0, math.inf, 0.0
         for lo_x, hi_x in ((a_pt, 0.0), (0.0, d_pt)):
-            xs = np.linspace(lo_x, hi_x, samples + 2)[1:-1]
+            xs = np.linspace(lo_x, hi_x, CONSTANT_SAMPLES + 2)[1:-1]
             hp = np.asarray(m.h_prime(xs))
             c3 = min(c3, float(np.min(hp)))
             K3 = max(K3, _holder_constant(xs, hp, 1.0))
             ys = np.asarray(m.h(xs))
-            td = np.abs(np.asarray([tilde_deriv(family, eps, float(y), metric=m)
-                                    for y in ys]))
+            # f~'(h(x)) straight from x: no round trip through h^{-1}
+            td = np.abs(_tilde_deriv_at(family, eps, xs))
             c2 = min(c2, float(np.min(td)))
             K2 = max(K2, _holder_constant(ys, td, alpha))
 
@@ -292,16 +295,14 @@ def distortion_check(family: MapFamily, eps: float, word: Word,
 
 
 def distortion_suite(family: MapFamily, eps: float, n_samples: int,
-                     max_word_len: int = 15, seed: int = 0,
-                     constants: GoodFamilyConstants | None = None):
+                     max_word_len: int = 15, seed: int = 0):
     """Seeded random (word, x, y) distortion checks inside eta_1 cells.
 
     Returns ``(n_passed, n_total, worst_margin, checks)`` where
     ``worst_margin`` is the smallest rhs/lhs ratio seen.
     """
     rng = np.random.default_rng(seed)
-    if constants is None:
-        constants = estimate_constants(family, eps)
+    constants = estimate_constants(family, eps)
     eta1 = partition_levels(family, eps, 1)[1]
     n_pass = 0
     worst = math.inf

@@ -190,11 +190,21 @@ def tilde_deriv(family: MapFamily, eps: float, y,
         if y == -1.0:
             return d ** (1.0 / g)
         return -abs(d) ** (1.0 / g)
-    x = m.h_inv(y)
-    fx = float(family.eval(eps, x))
+    return float(_tilde_deriv_at(family, eps, m.h_inv(y)))
+
+
+def _tilde_deriv_at(family: MapFamily, eps: float, x):
+    """f~'(h(x)) by the chain rule away from the critical point; vectorized.
+
+    ``f'(x) ((1+eps)^2 - x^2)^p / ((1+eps)^2 - f(x)^2)^p`` with
+    ``p = (gamma - 1) / gamma``: the normalization b of h cancels.
+    """
+    p = (family.gamma - 1.0) / family.gamma
+    x = np.asarray(x, dtype=float)
+    fx = family.eval(eps, x)
     num = ((1.0 + eps) ** 2 - x * x) ** p
     den = ((1.0 + eps) ** 2 - fx * fx) ** p
-    return float(family.deriv(eps, x)) * num / den
+    return family.deriv(eps, x) * num / den
 
 
 def nonlinearity_tilde_q(eps: float, y) -> float:

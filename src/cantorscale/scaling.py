@@ -66,43 +66,39 @@ class JumpAnalysis:
     converged: bool
 
 
-def _rows_to_floor(lengths, floor: float) -> int:
-    """1 + the index of the first length below ``floor`` (of the end if none is)."""
-    short = np.flatnonzero(lengths < floor)
-    return int(short[0] if short.size else len(lengths)) + 1
-
-
-def _chain_to_floor(family: MapFamily, eps: float, sides, points,
-                    floor: float) -> np.ndarray:
-    """The rows of ``apply_branches`` up to the first block that reaches the floor.
+def _chain_to_floor(family: MapFamily, eps: float, sides,
+                    points) -> np.ndarray:
+    """The rows of ``apply_branches`` before the first one below the floor.
 
     ``sides`` is any iterable of branches; it is read ``_CHAIN_BLOCK`` at a
-    time, each block resuming from the last row, and reading stops after
-    the first block with a row (past row 0) whose first two points lie
-    less than ``floor`` apart.  The result is a prefix of the full
-    trajectory that holds that row, so the cost follows the depth reached
-    rather than the length of ``sides``.
+    time, each block resuming from the last row, and reading stops at the
+    first row (past row 0) whose first two points lie less than
+    ``LENGTH_FLOOR`` apart.  That row and all after it are left out, so
+    the first interval of every row returned is at least the floor long,
+    and the cost follows the depth reached rather than the length of
+    ``sides``.
     """
     rows = apply_branches(family, eps, (), points)
     sides = iter(sides)
     while block_sides := tuple(islice(sides, _CHAIN_BLOCK)):
         block = apply_branches(family, eps, block_sides, rows[-1])[1:]
-        rows = np.concatenate([rows, block])
-        if np.any(np.abs(block[:, 1] - block[:, 0]) < floor):
+        short = np.flatnonzero(np.abs(block[:, 1] - block[:, 0]) < LENGTH_FLOOR)
+        rows = np.concatenate([rows, block[:short[0] if short.size else None]])
+        if short.size:
             break
     return rows
 
 
 def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
-             metric=None, floor: float = LENGTH_FLOOR) -> ScalingEstimate:
+             metric=None) -> ScalingEstimate:
     """Approximant sequence and extrapolated scaling value at one dual point.
 
     ``metric`` switches to the conjugate map's cylinders (ratios of h-image
     lengths).  The value is the deepest approximant whose child cylinder
-    is at least ``floor`` long; the error bound is the largest of the last
-    three successive deltas.  The estimate counts as not converged when
-    three deltas one tail period apart (one apart for a zeros or
-    truncated tail) are positive and non-decreasing.
+    is at least ``LENGTH_FLOOR`` long; the error bound is the largest of
+    the last three successive deltas.  The estimate counts as not
+    converged when three deltas one tail period apart (one apart for a
+    zeros or truncated tail) are positive and non-decreasing.
     """
     if eps < 0.0:
         raise DomainError("scale_at requires eps >= 0")
@@ -114,9 +110,7 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
     # row k holds J = I_{i_k ... i_0} and K = I_{i_k ... i_1}
     j0 = cylinder(family, eps, Word((a.coord(0),)))
     rows = _chain_to_floor(family, eps, (a.coord(k) for k in range(1, n_max + 1)),
-                           [j0.lo, j0.hi, *family.domain], floor)
-    # stop before the first child J shorter than the floor
-    rows = rows[:_rows_to_floor(np.abs(rows[1:, 1] - rows[1:, 0]), floor)]
+                           [j0.lo, j0.hi, *family.domain])
     if metric is not None:
         rows = metric.h(rows)
     lengths = np.abs(rows[:, 1::2] - rows[:, 0::2])
@@ -224,8 +218,7 @@ def _require_bh(family: MapFamily) -> float:
     return eps
 
 
-def jump_at(family: MapFamily, a: DualPoint, depth: int,
-            floor: float = LENGTH_FLOOR) -> JumpAnalysis:
+def jump_at(family: MapFamily, a: DualPoint, depth: int) -> JumpAnalysis:
     """Jump data of the limiting scaling function at an A point.
 
     For ``a* = (0_inf w i.)`` tracks ``b_n = |I_{0_n w}|``,
@@ -238,10 +231,10 @@ def jump_at(family: MapFamily, a: DualPoint, depth: int,
     and its complement to 1, where ``a'_n`` is the length of whichever
     child of ``I_{0_n w}`` is adjacent to the endpoint nearer the left
     endpoint (the power-law substitution that produces the formula assumes
-    the child at distance exactly ``c_n``), evaluated at the deepest
-    reliable n.  When the
-    tracked word is the all-zeros prefix, ``c_n = 0`` exactly and the
-    formulas degenerate gracefully to ``(a_n / b_n)^(1/g)``.
+    the child at distance exactly ``c_n``), evaluated at the deepest n
+    with ``b_n >= LENGTH_FLOOR``.  When the tracked word is the all-zeros
+    prefix, ``c_n = 0`` exactly and the formulas degenerate gracefully to
+    ``(a_n / b_n)^(1/g)``.
     """
     eps = _require_bh(family)
     if a.klass != "A":
@@ -263,15 +256,12 @@ def jump_at(family: MapFamily, a: DualPoint, depth: int,
     ci, co = (cylinder(family, eps, Word((b,))) for b in (i, 1 - i))
     head = apply_branches(family, eps, w_bits[::-1],
                           [dlo, dhi, ci.lo, ci.hi, co.lo, co.hi])[-1]
-    ends = _chain_to_floor(family, eps, repeat(0, depth), head,
-                           floor).reshape(-1, 3, 2)
+    ends = _chain_to_floor(family, eps, repeat(0, depth), head).reshape(-1, 3, 2)
     lo, length = ends.min(axis=2), np.ptp(ends, axis=2)
-    keep = _rows_to_floor(length[:, 0], floor)
-    b_seq = length[:keep, 0].tolist()
-    a_seq = length[:keep, 1].tolist()
-    c_seq = np.maximum(lo[:keep, 0] - dlo, 0.0).tolist()
-    near = np.where(lo[:keep, 1] <= lo[:keep, 2],
-                    length[:keep, 1], length[:keep, 2]).tolist()
+    b_seq = length[:, 0].tolist()
+    a_seq = length[:, 1].tolist()
+    c_seq = np.maximum(lo[:, 0] - dlo, 0.0).tolist()
+    near = np.where(lo[:, 1] <= lo[:, 2], length[:, 1], length[:, 2]).tolist()
     s1_seq = [((n_len + c) ** (1 / g) - c ** (1 / g))
               / ((b_len + c) ** (1 / g) - c ** (1 / g))
               for n_len, b_len, c in zip(near, b_seq, c_seq)]
@@ -320,10 +310,7 @@ def asymmetry(family: MapFamily, depth: int) -> tuple[float, bool]:
     """
     _require_bh(family)
     eps = 0.0
-    zeros = _chain_to_floor(family, eps, repeat(0, depth), family.domain,  # I_{0_n}
-                            LENGTH_FLOOR)
-    zeros = zeros[:_rows_to_floor(np.abs(zeros[:, 1] - zeros[:, 0]),
-                                  LENGTH_FLOOR)]
+    zeros = _chain_to_floor(family, eps, repeat(0, depth), family.domain)  # I_{0_n}
     mid = apply_branches(family, eps, (1,), zeros)[-1]                # I_{1 0_n}
     n0 = apply_branches(family, eps, (0,), mid)[-1]                   # I_{01 0_n}
     n1 = apply_branches(family, eps, (1,), mid)[-1]                   # I_{11 0_n}

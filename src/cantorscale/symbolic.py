@@ -61,6 +61,17 @@ class _SymbolSequence:
                 f"coordinate {k} beyond truncation depth {len(self.coords)}")
         return self.period[(k - len(self.coords)) % len(self.period)]
 
+    def shift(self):
+        """Drop i0: the one-sided shift of a code, sigma* of a dual point."""
+        if self.coords:
+            return type(self)(self.coords[1:], self.tail if self.tail != "periodic"
+                              else self.period)
+        if self.tail == ZEROS:
+            return type(self)((), ZEROS)
+        if self.tail == "periodic":
+            return type(self)((), self.period[1:] + self.period[:1])
+        raise IndexError("cannot shift an exhausted truncated sequence")
+
     @property
     def available(self) -> int | None:
         """Number of defined coordinates; None when unbounded."""
@@ -78,17 +89,6 @@ class _SymbolSequence:
 
 class Code(_SymbolSequence):
     """A point of the topological Cantor set: ``(.i0 i1 i2 ...)``."""
-
-    def shift(self) -> "Code":
-        """The one-sided shift: drop i0."""
-        if self.coords:
-            return Code(self.coords[1:], self.tail if self.tail != "periodic"
-                        else self.period)
-        if self.tail == ZEROS:
-            return Code((), ZEROS)
-        if self.tail == "periodic":
-            return Code((), self.period[1:] + self.period[:1])
-        raise IndexError("cannot shift an exhausted truncated code")
 
     def word(self, depth: int) -> Word:
         """The cylinder label from the first depth+1 coordinates (i0 outermost)."""
@@ -114,17 +114,6 @@ class DualPoint(_SymbolSequence):
     def approximants(self, n: int) -> Word:
         """The word ``w_n i`` made of the first n+1 coordinates, i0 rightmost."""
         return Word(tuple(self.coord(n - j) for j in range(n + 1)))
-
-    def shift(self) -> "DualPoint":
-        """sigma*: drop i0, i.e. (... i1 i0.) -> (... i1.)."""
-        if self.coords:
-            return DualPoint(self.coords[1:], self.tail if self.tail != "periodic"
-                             else self.period)
-        if self.tail == ZEROS:
-            return DualPoint((), ZEROS)
-        if self.tail == "periodic":
-            return DualPoint((), self.period[1:] + self.period[:1])
-        raise IndexError("cannot shift an exhausted truncated dual point")
 
     def __str__(self) -> str:
         suffix = "".join(str(b) for b in reversed(self.coords)) + "."

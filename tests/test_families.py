@@ -311,3 +311,80 @@ def test_scalar_domain_check_matches_array_check():
     for ys in ([float("nan"), 1.5], [-1.5, float("nan")], [[0.1, 0.2], [0.3, 2.0]]):
         with pytest.raises(cs.DomainError):
             q.check_domain(np.asarray(ys))
+
+
+# ---------------------------------------------------------------------------
+# The power-law presets share one implementation
+# ---------------------------------------------------------------------------
+
+
+def _per_class_inverse(family, eps, side, y):
+    """Reference: the inverse branch each power-law preset used to write out."""
+    y = np.asarray(y, dtype=float)
+    if family.kind == "quadratic":
+        t = np.sqrt(np.maximum((1.0 + eps - y) / (2.0 + eps), 0.0))
+    elif family.kind == "tent":
+        t = np.maximum(1.0 + eps - y, 0.0) / (2.0 + eps)
+    else:
+        t = np.maximum((1.0 + eps - y) / (2.0 + eps), 0.0) ** (1.0 / family.gamma)
+    return -t if side == 0 else t
+
+
+def _per_class_deriv(family, eps, x):
+    """Reference: the derivative each power-law preset used to write out."""
+    x = np.asarray(x, dtype=float)
+    if family.kind == "quadratic":
+        return -2.0 * (2.0 + eps) * x
+    if family.kind == "tent":
+        return -(2.0 + eps) * np.sign(x)
+    g = family.gamma
+    return -g * (2.0 + eps) * np.abs(x) ** (g - 1.0) * np.sign(x)
+
+
+POWER_LAW = [cs.Quadratic(), cs.Tent(), cs.GammaPower(1.5), cs.GammaPower(3.0),
+             cs.GammaPower(2.5)]
+
+
+@pytest.mark.parametrize("family", POWER_LAW, ids=lambda f: f"{f.kind}-{f.gamma}")
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 1.0])
+def test_power_law_presets_match_their_per_class_formulas(family, eps):
+    rng = np.random.default_rng(11)
+    ys = np.concatenate([rng.uniform(-1.0, 1.0, 50_000), [-1.0, 0.0, 1.0, 1e-300]])
+    for side in (0, 1):
+        assert np.array_equal(family.inverse_branch(eps, side, ys),
+                              _per_class_inverse(family, eps, side, ys))
+    xs = ys[ys != 0.0]
+    assert np.array_equal(family.deriv(eps, xs), _per_class_deriv(family, eps, xs))
+    if family.kind == "quadratic":
+        # (2 + eps) x^2 where the preset wrote ((2 + eps) x) x; each lies
+        # within an ulp of the exact product, so they lie within two ulps
+        old_term, new_term = (2.0 + eps) * ys * ys, (2.0 + eps) * (ys * ys)
+        assert np.all(np.abs(new_term - old_term)
+                      <= 2 * np.spacing(np.maximum(old_term, new_term)))
+        assert np.array_equal(family.eval(eps, ys), 1.0 + eps - new_term)
+    else:
+        old = 1.0 + eps - (2.0 + eps) * np.abs(ys) ** family.gamma
+        assert np.array_equal(family.eval(eps, ys), old)
+
+
+@pytest.mark.parametrize("family", POWER_LAW, ids=lambda f: f"{f.kind}-{f.gamma}")
+def test_power_law_scalar_inverse_is_the_array_inverse(family):
+    ys = np.random.default_rng(12).uniform(-1.0, 1.0, 500)
+    for side in (0, 1):
+        closed = family.inverse_branch(0.3, side, ys)
+        scalars = [family.inverse_branch(0.3, side, float(y)) for y in ys]
+        assert all(isinstance(x, float) for x in scalars)
+        assert np.array_equal(scalars, closed)
+
+
+def test_power_law_presets_keep_their_public_surface():
+    assert not isinstance(cs.Quadratic(), cs.GammaPower)
+    assert not isinstance(cs.Tent(), cs.GammaPower)
+    assert "deriv" in cs.Tent.__dict__ and cs.Tent().piecewise_linear
+    assert cs.GammaPower(3.0).extra == {"gamma": 3.0}
+    assert cs.Quadratic().extra == {} and cs.Tent().extra == {}
+    assert cs.Quadratic().param_range == cs.Tent().param_range == (0.0, 1.0)
+    assert cs.AsymQuadratic(0.2).param_range == (0.0, 0.5)
+    assert cs.Figure6(0.0).param_range == (0.0, 0.0)
+    with pytest.raises(TypeError):
+        cs.Quadratic(param_range=(0.0, 2.0))

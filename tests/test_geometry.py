@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import cantorscale as cs
-from cantorscale.geometry import GapGeometrySummary
+from cantorscale.geometry import (CONSTANT_SAMPLES, GapGeometrySummary,
+                                  _holder_constant)
 
 
 def test_leading_gap_examples():
@@ -210,3 +211,37 @@ def test_gap_geometry_matches_the_per_parent_loop(family, eps, depth):
     for include_table in (False, True):
         assert (cs.gap_geometry(family, eps, depth, include_table)
                 == _gap_geometry_loop(family, eps, depth, include_table))
+
+
+def _conjugate_derivative_bounds(family, eps, alpha):
+    """Reference: c2 and K2 through ``tilde_deriv`` at h(x), inverting h per point."""
+    eta2 = cs.partition_levels(family, eps, 2)[2]
+    m = cs.MetricChange(family.gamma, eps)
+    c2, K2 = math.inf, 0.0
+    for lo_x, hi_x in ((float(eta2.los[2]), 0.0), (0.0, float(eta2.his[6]))):
+        xs = np.linspace(lo_x, hi_x, CONSTANT_SAMPLES + 2)[1:-1]
+        ys = np.asarray(m.h(xs))
+        td = np.abs([cs.tilde_deriv(family, eps, float(y), metric=m) for y in ys])
+        c2 = min(c2, float(np.min(td)))
+        K2 = max(K2, _holder_constant(ys, td, alpha))
+    return c2, K2
+
+
+@pytest.mark.parametrize("family,eps", [
+    (cs.Quadratic(), 0.5), (cs.GammaPower(3.0), 0.2), (cs.GammaPower(1.5), 0.1)],
+    ids=["quadratic", "gamma3", "gamma1.5"])
+def test_estimate_constants_skips_the_metric_round_trip(family, eps, monkeypatch):
+    calls = []
+    h_inv = cs.MetricChange.h_inv
+
+    def counted(self, y):
+        calls.append(np.size(y))
+        return h_inv(self, y)
+
+    monkeypatch.setattr(cs.MetricChange, "h_inv", counted)
+    k = cs.estimate_constants(family, eps)
+    assert calls == []
+    monkeypatch.undo()
+    c2, K2 = _conjugate_derivative_bounds(family, eps, k.alpha)
+    assert k.c2 == pytest.approx(c2, rel=1e-10)
+    assert k.K2 == pytest.approx(K2, rel=1e-10)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import cantorscale as cs
-from cantorscale.scaling import _CHAIN_BLOCK
+from cantorscale import scaling
+from cantorscale.scaling import _CHAIN_BLOCK, LENGTH_FLOOR
 
 
 def test_tent_scaling_is_exactly_one_third():
@@ -276,3 +277,31 @@ def test_scale_at_reads_coordinates_as_far_as_the_chain_reaches(monkeypatch):
     est = cs.scale_at(cs.Quadratic(), 0.0, cs.parse_dual_point("0^inf|1."),
                       100_000)
     assert len(calls) <= est.effective_depth + 2 * _CHAIN_BLOCK
+
+
+@pytest.mark.parametrize("text", ["0^inf|.", "0^inf|10.", "0^inf|110."])
+def test_jump_at_reads_no_cylinder_below_the_floor(text):
+    # the chain stops before the first I_{0_n w} shorter than LENGTH_FLOOR,
+    # as scale_at stops before the first short child
+    ja = cs.jump_at(cs.Quadratic(), cs.parse_dual_point(text), 100)
+    assert min(ja.b_n) >= LENGTH_FLOOR
+    assert len(ja.b_n) > 15
+
+
+def test_asymmetry_reads_no_cylinder_below_the_floor(monkeypatch):
+    # asymmetry maps the chain I_{0_n} through branch 1 first: record the
+    # intervals that call receives
+    seen = []
+    apply = scaling.apply_branches
+
+    def recorded(family, eps, sides, points):
+        if tuple(sides) == (1,) and not seen:
+            seen.append(np.asarray(points))
+        return apply(family, eps, sides, points)
+
+    monkeypatch.setattr(scaling, "apply_branches", recorded)
+    value, converged = cs.asymmetry(cs.AsymQuadratic(-0.6), 100)
+    (zeros,) = seen
+    assert len(zeros) > 10
+    assert np.min(np.abs(zeros[:, 1] - zeros[:, 0])) >= LENGTH_FLOOR
+    assert converged and value == pytest.approx(2.0, abs=1e-9)

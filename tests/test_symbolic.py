@@ -80,3 +80,24 @@ def test_code_shift_periodic():
     c = cs.Code((), (1, 0))
     assert c.shift() == cs.Code((), (0, 1))
     assert str(cs.Code((0, 1), "zeros")) == ".01|0^inf"
+
+
+@pytest.mark.parametrize("cls", [cs.Code, cs.DualPoint])
+def test_shift_keeps_the_type_and_rotates_the_period(cls):
+    cases = [
+        (cls((1, 0, 1), "zeros"), cls((0, 1), "zeros")),
+        (cls((), "zeros"), cls((), "zeros")),
+        (cls((0,), (1, 1, 0)), cls((), (1, 1, 0))),
+        (cls((), (1, 1, 0)), cls((), (1, 0, 1))),
+        (cls((1, 0), "truncated"), cls((0,), "truncated")),
+    ]
+    for seq, shifted in cases:
+        out = seq.shift()
+        assert type(out) is cls and out == shifted
+        n = 6 if seq.available is None else seq.available - 1
+        assert [out.coord(k) for k in range(n)] == [seq.coord(k + 1) for k in range(n)]
+    # three shifts bring a period-3 tail back to itself
+    p = cls((), (1, 1, 0))
+    assert p.shift().shift().shift() == p
+    with pytest.raises(IndexError):
+        cls((), "truncated").shift()
