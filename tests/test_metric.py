@@ -1,7 +1,13 @@
 """The singular/smooth metric change, the conjugate map and its derivative."""
 
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -137,3 +143,101 @@ def test_decay_rate_equivalence():
     ns = np.arange(2, 11)
     slope = np.polyfit(ns, np.log(np.asarray(lam_h)[2:]), 1)[0]
     assert math.exp(slope) == pytest.approx(lam_f, abs=0.05)
+
+
+# -- the incomplete-beta form against the 40-digit mpmath metric -------------
+
+ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+BETA_GAMMAS = [1.5, 2.0001, 3.0, 4.0]
+BETA_EPS = [0.0, 0.1, 0.5]
+
+
+def _oracles():
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _mp_h(gamma, eps):
+    """mpmath h with the library's float reach fl(1 + eps) as its singularity."""
+    mp_h = _oracles().mp_h
+    eps_mp = mpmath.mpf(1.0 + eps) - 1
+    return lambda x: mp_h(gamma, eps_mp, mpmath.mpf(float(x)))
+
+
+@pytest.fixture
+def mp40():
+    with mpmath.workdps(40):
+        yield
+
+
+def _ulps(value, reference):
+    return abs(float(mpmath.mpf(float(value)) - reference)) / np.spacing(
+        abs(float(reference)))
+
+
+@pytest.mark.parametrize("gamma", BETA_GAMMAS)
+@pytest.mark.parametrize("eps", BETA_EPS)
+@pytest.mark.usefixtures("mp40")
+def test_h_and_b_match_mpmath(gamma, eps):
+    m, mp_h, reach = cs.MetricChange(gamma, eps), _mp_h(gamma, eps), 1.0 + eps
+    a, c, r = mpmath.mpf(1) / 2, 1 / mpmath.mpf(gamma), mpmath.mpf(reach)
+    b = 2 / (r ** (2 * c - 1) * mpmath.beta(a, c)
+             * mpmath.betainc(a, c, 0, 1 / r ** 2, regularized=True))
+    assert m.b == pytest.approx(float(b), rel=2e-15, abs=0.0)
+    # points within 1e-8 of the reach take the complement branch
+    near = reach - np.asarray([1e-8, 1e-9, 1e-10, 1e-12])
+    xs = np.concatenate([np.linspace(-reach, reach, 41), near, -near])
+    for x, y in zip(xs, m.h(xs)):
+        assert _ulps(y, mp_h(x)) <= 16, x
+
+
+@pytest.mark.parametrize("gamma", BETA_GAMMAS)
+@pytest.mark.parametrize("eps", BETA_EPS)
+@pytest.mark.usefixtures("mp40")
+def test_h_inv_matches_mpmath(gamma, eps):
+    # one Newton step of the mpmath h from x = h_inv(y) gives x's error
+    m, mp_h = cs.MetricChange(gamma, eps), _mp_h(gamma, eps)
+    r2, p = mpmath.mpf(1.0 + eps) ** 2, 1 - 1 / mpmath.mpf(gamma)
+    near = 1.0 - np.asarray([1e-8, 1e-10, 1e-12])
+    ys = np.concatenate([np.linspace(-1.0, 1.0, 41), near, -near])
+    for y, x in zip(ys, m.h_inv(ys)):
+        if eps == 0.0 and abs(x) == 1.0:
+            # h' is infinite at the reach: the preimage is in the last ulp
+            assert np.sign(x) == np.sign(y)
+            assert abs(mp_h(np.nextafter(abs(x), 0.0))) <= abs(y)
+            continue
+        h_prime = m.b * (r2 - mpmath.mpf(float(x)) ** 2) ** -p
+        err = float((mpmath.mpf(float(y)) - mp_h(x)) / h_prime)
+        assert abs(err) <= 16 * np.spacing(max(abs(x), 1e-300)), y
+
+
+@pytest.mark.parametrize("gamma", BETA_GAMMAS)
+@pytest.mark.parametrize("eps", BETA_EPS)
+@pytest.mark.parametrize("length", [1e-4, 1e-7])
+@pytest.mark.usefixtures("mp40")
+def test_short_h_images_match_mpmath(gamma, eps, length):
+    # h(x + L) - h(x) carries the error of its two ends: the bound is twice
+    # the pointwise one, in ulps of h, so it scales as 1 / (h-image length)
+    m, mp_h, reach = cs.MetricChange(gamma, eps), _mp_h(gamma, eps), 1.0 + eps
+    xs = np.concatenate([np.linspace(-reach, reach - length, 21),
+                         [reach - length - 1e-8, reach - 2.0 * length]])
+    ends = xs + length
+    lo, hi = m.h(xs), m.h(ends)
+    for x, x_end, y_lo, y_hi in zip(xs, ends, lo, hi):
+        exact = mp_h(x_end) - mp_h(x)
+        ulp = np.spacing(max(abs(y_lo), abs(y_hi)))
+        assert abs(float((y_hi - y_lo) - exact)) <= 32 * ulp, x
+
+
+def test_the_metric_does_not_import_scipy_integrate():
+    code = ("import sys, cantorscale\n"
+            "m = cantorscale.MetricChange(3.0, 0.0)\n"
+            "m.h(0.5), m.h_inv(0.5)\n"
+            "assert 'scipy.integrate' not in sys.modules\n")
+    src = str(Path(cs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)

@@ -257,8 +257,6 @@ def test_scaling_graph_matches_the_word_loop(family, eps, depth):
     if family.gamma > 1 and family.domain == (-1.0, 1.0):
         metrics.append(cs.MetricChange(family.gamma, eps))
     for metric in metrics:
-        if metric is not None and family.gamma != 2.0 and depth > 4:
-            continue  # quadrature per endpoint: keep the gamma != 2 grids small
         assert (cs.scaling_graph(family, eps, depth, metric=metric)
                 == _scaling_graph_words(family, eps, depth, metric=metric))
 

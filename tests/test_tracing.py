@@ -50,6 +50,8 @@ def test_tracer_counts_one_call_per_layer(tmp_path):
     assert tracer.counts["families.inverse_calls"] > 0
     assert tracer.counts["families.eval_deriv_calls"] > 0
     assert tracer.counts["dimension.roots"] > 0
+    assert tracer.counts["metric.h_points"] > 0
+    assert tracer.counts["metric.quad_calls"] == 0
     assert tracer.counts["cli.commands"] == 1
     assert {name.split(".", 1)[0] for name, *_ in tracer.spans} == set(tracing.LAYERS)
     # uninstall puts the originals back
