@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import chain
 from pathlib import Path
@@ -43,6 +44,8 @@ CONFIG_KEYS = ("command", "family", "depth", "epsilon", "epsilon_grid",
 #: the chain commands stop at the length floor, which binary64 cylinders
 #: reach by depth ~40, so a deeper config asks for nothing more
 MAX_DEPTH = 1000
+#: rows of the partition CSV formatted per write
+CSV_CHUNK_ROWS = 4096
 
 
 class ConfigError(CantorScaleError, ValueError):
@@ -80,6 +83,22 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
                       for row in chain([header], rows))
 
 
+def _integer(key: str, value) -> int:
+    """A JSON integer; ``3.7`` or ``true`` is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
+    return value
+
+
+def _real(key: str, value) -> float:
+    """A finite JSON number as a float; ``true``, ``"0.1"`` or ``NaN`` is
+    refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 class Experiment:
     """Validated config plus the dispatch table."""
 
@@ -100,17 +119,20 @@ class Experiment:
             self.family = family_from_spec(cfg["family"])
         except CantorScaleError as exc:
             raise ConfigError(f"key 'family': {exc}") from exc
-        self.depth = int(cfg.get("depth", 10))
+        self.depth = _integer("depth", cfg.get("depth", 10))
         if not 0 <= self.depth <= MAX_DEPTH:
             raise ConfigError(f"key 'depth': {self.depth} outside [0, {MAX_DEPTH}]")
-        self.eps = float(cfg.get("epsilon", 0.0))
+        self.eps = _real("epsilon", cfg.get("epsilon", 0.0))
         grid = cfg.get("epsilon_grid")
-        self.eps_grid = None if grid is None else [float(e) for e in grid]
+        if grid is not None and not isinstance(grid, list):
+            raise ConfigError(f"key 'epsilon_grid': expected a list, got {grid!r}")
+        self.eps_grid = (None if grid is None
+                         else [_real("epsilon_grid", e) for e in grid])
         if self.eps_grid is not None and self.eps_grid != sorted(self.eps_grid):
             raise ConfigError("key 'epsilon_grid': grid must be sorted ascending")
-        self.seed = int(cfg.get("seed", 0))
+        self.seed = _integer("seed", cfg.get("seed", 0))
         self.dual_point_text = cfg.get("dual_point")
-        self.n_samples = int(cfg.get("samples", 1000))
+        self.n_samples = _integer("samples", cfg.get("samples", 1000))
         prefix = cfg.get("output", self.command.replace("-", "_"))
         self.out_dir = out_dir
         self.prefix = str(prefix)
@@ -139,13 +161,22 @@ class Experiment:
 
     def cmd_partition(self) -> str:
         part = branches.partition(self.family, self.eps, self.depth)
-        width = part.word_length
-        rows = ((format(i, f"0{width}b"), lo, hi, length,
-                 -1 if i.bit_count() % 2 else 1)
-                for i, (lo, hi, length) in enumerate(zip(
-                    part.los.tolist(), part.his.tolist(), part.lengths.tolist())))
-        _write_csv(self.path(".csv"), ["word", "lo", "hi", "length",
-                                       "orientation"], rows)
+        n, word_fmt = len(part), f"0{part.word_length}b"
+        # odd[i] is the parity of the bits of i (Thue-Morse), built by doubling
+        odd = np.zeros(1, dtype=bool)
+        while odd.size < n:
+            odd = np.concatenate([odd, ~odd])
+        columns = (part.los, part.his, part.lengths)
+        # whole columns are formatted a chunk at a time, and each chunk is
+        # written at once: the file is never held in memory
+        with self.path(".csv").open("w", newline="") as fh:
+            fh.write("word,lo,hi,length,orientation\r\n")
+            for start in range(0, n, CSV_CHUNK_ROWS):
+                stop = min(start + CSV_CHUNK_ROWS, n)
+                cells = ([format(i, word_fmt) for i in range(start, stop)],
+                         *(map(repr, col[start:stop].tolist()) for col in columns),
+                         ["-1" if o else "1" for o in odd[start:stop].tolist()])
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
         return (f"partition depth={self.depth} cells={len(part)} "
                 f"lambda_n={part.lambda_n:.6g}")
 

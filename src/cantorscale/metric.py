@@ -14,7 +14,8 @@ and h^{-1} is the inverse incomplete beta function.  Next to the reach
 +-r, h uses the complement 1 - I_{1-z}(1/gamma, 1/2) with 1 - z formed as
 (r - |x|)(r + |x|)/r^2, which keeps short h-images there accurate.  For
 gamma = 2 everything reduces to arcsin and that closed form is used
-directly.
+directly.  scipy is imported only when a gamma != 2 metric change is
+built.
 
 Under h the map becomes ``f~ = h o f o h^{-1}``; for the quadratic family
 at eps = 0 this is exactly the slope-2 tent map.
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .families import MapFamily
@@ -34,8 +34,8 @@ from .symbolic import DualPoint
 
 def __getattr__(name: str):
     # perfbench/tracing.py still wraps `metric.quad` by name; ROADMAP item 1
-    # drops that entry, and this hook goes with it.  Importing
-    # scipy.integrate only on request keeps it out of every other process.
+    # drops that entry, and this hook goes with it.  The package imports
+    # no scipy module unless it is needed; this one only on request.
     if name == "quad":
         from scipy.integrate import quad
         return quad
@@ -51,8 +51,8 @@ class MetricChange:
     def __init__(self, gamma: float, eps: float = 0.0):
         if not gamma > 1.0:
             raise DomainError("metric change requires gamma > 1")
-        if eps < 0.0:
-            raise DomainError("eps must be >= 0")
+        if not 0.0 <= eps < math.inf:
+            raise DomainError(f"eps must be finite and >= 0, got {eps}")
         self.gamma = float(gamma)
         self.eps = float(eps)
         self._p = (gamma - 1.0) / gamma
@@ -61,11 +61,13 @@ class MetricChange:
             self._asin_scale = math.asin(1.0 / (1.0 + eps))
             self.b = 1.0 / self._asin_scale
         else:
+            # the only scipy use in the package, so the import waits for it
+            from scipy.special import beta, betainc, betaincinv
+            self._betainc, self._betaincinv = betainc, betaincinv
             r, c = 1.0 + self.eps, 1.0 / self.gamma
             self._c = c
-            self._i1 = float(special.betainc(0.5, c, r ** -2))
-            self.b = 2.0 / (r ** (2.0 * c - 1.0) * special.beta(0.5, c)
-                            * self._i1)
+            self._i1 = float(betainc(0.5, c, r ** -2))
+            self.b = 2.0 / (r ** (2.0 * c - 1.0) * beta(0.5, c) * self._i1)
 
     def h(self, x):
         """h(x); vectorized; h(-1) = -1, h(0) = 0, h(1) = 1.
@@ -86,8 +88,8 @@ class MetricChange:
             # near the reach, I_z(1/2, c) = 1 - I_{1-z}(c, 1/2) with 1 - z
             # formed from reach - |x|, which is exact there
             co_z = (reach - ax) * (reach + ax) / reach ** 2
-            mass = np.where(z > 0.5, 1.0 - special.betainc(self._c, 0.5, co_z),
-                            special.betainc(0.5, self._c, z))
+            mass = np.where(z > 0.5, 1.0 - self._betainc(self._c, 0.5, co_z),
+                            self._betainc(0.5, self._c, z))
             y = np.sign(x_arr) * mass / self._i1
         return float(y) if y.ndim == 0 else y
 
@@ -106,7 +108,7 @@ class MetricChange:
         if self._is_arcsin:
             x = reach * np.sin(y_arr * self._asin_scale)
         else:
-            z = special.betaincinv(0.5, self._c, np.abs(y_arr) * self._i1)
+            z = self._betaincinv(0.5, self._c, np.abs(y_arr) * self._i1)
             # h^{-1} maps [-1, 1] onto [-1, 1]; the bound undoes rounding past 1
             x = np.sign(y_arr) * np.minimum(reach * np.sqrt(z), 1.0)
         return float(x) if np.asarray(x).ndim == 0 else x

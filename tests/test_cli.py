@@ -215,6 +215,21 @@ def test_bad_config_exit_codes(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("key,value", [
+    ("depth", 3.7), ("depth", True), ("depth", "3"), ("samples", 2.9),
+    ("seed", 1.5), ("seed", False), ("epsilon", True), ("epsilon", "0.1"),
+    ("epsilon", math.nan), ("epsilon_grid", [0.01, True]),
+    ("epsilon_grid", [0.01, math.inf]), ("epsilon_grid", 0.1),
+])
+def test_bad_config_value_types_exit_1(tmp_path, capsys, key, value):
+    # the boundary refuses a value it would otherwise truncate or coerce
+    cfg = {"command": "distortion-check", "family": {"kind": "quadratic"},
+           "epsilon": 0.2, "depth": 3, "samples": 5, "seed": 1, key: value}
+    assert run_cli(tmp_path, cfg) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "distortion_check.json").exists()
+
+
 @pytest.mark.parametrize("family", [
     {"kind": "figure6", "shape": -0.05},
     {"kind": "figure6", "params": {"c": -0.05, "scale": 2.0}},

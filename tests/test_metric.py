@@ -1,10 +1,12 @@
 """The singular/smooth metric change, the conjugate map and its derivative."""
 
 import importlib.util
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import mpmath
@@ -58,6 +60,13 @@ def test_metric_requires_gamma_above_one():
         cs.MetricChange(1.0, 0.0)
     with pytest.raises(cs.DomainError):
         cs.tilde_eval(cs.Tent(), 0.0, 0.3)
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+@pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
+def test_metric_rejects_eps_that_is_negative_or_not_finite(gamma, eps):
+    with pytest.raises(cs.DomainError):
+        cs.MetricChange(gamma, eps)
 
 
 def test_conjugate_quadratic_is_tent():
@@ -231,13 +240,39 @@ def test_short_h_images_match_mpmath(gamma, eps, length):
         assert abs(float((y_hi - y_lo) - exact)) <= 32 * ulp, x
 
 
-def test_the_metric_does_not_import_scipy_integrate():
-    code = ("import sys, cantorscale\n"
-            "m = cantorscale.MetricChange(3.0, 0.0)\n"
-            "m.h(0.5), m.h_inv(0.5)\n"
-            "assert 'scipy.integrate' not in sys.modules\n")
+def test_the_metric_does_not_import_scipy_integrate(tmp_path):
+    # one fresh interpreter: scipy stays out until a gamma != 2 metric is
+    # built, and then only scipy.special comes in
+    code = textwrap.dedent("""
+        import json, sys
+        import cantorscale, cantorscale.cli
+
+        def scipy_modules():
+            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+        assert not scipy_modules(), scipy_modules()
+        m = cantorscale.MetricChange(2.0, 0.1)
+        m.h(0.5), m.h_inv(0.5)
+        quad = cantorscale.Quadratic()
+        cantorscale.hd_estimate(quad, 0.1, 8)
+        cantorscale.gap_geometry(quad, 0.1, 4)
+        cfg = sys.argv[1] + "/cfg.json"
+        with open(cfg, "w") as fh:
+            json.dump({"command": "partition", "family": {"kind": "quadratic"},
+                       "epsilon": 0.1, "depth": 4}, fh)
+        assert cantorscale.cli.main(["--config", cfg, "--out", sys.argv[1]]) == 0
+        assert not scipy_modules(), scipy_modules()
+        m = cantorscale.MetricChange(3.0, 0.1)
+        assert "scipy.special" in sys.modules
+        assert "scipy.integrate" not in sys.modules
+        print(json.dumps([m.b, m.h(0.5), m.h_inv(0.5)]))
+    """)
     src = str(Path(cs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   timeout=60)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         check=True, timeout=60, capture_output=True, text=True)
+    m = cs.MetricChange(3.0, 0.1)
+    # json writes floats as their shortest round-trip repr: equal means bitwise
+    assert json.loads(out.stdout.splitlines()[-1]) == [m.b, m.h(0.5),
+                                                       m.h_inv(0.5)]
