@@ -6,7 +6,7 @@ with built-in map presets and closed-form oracles.
 """
 
 from .branches import (Cylinder, Partition, Word, apply_branches, cylinder,
-                       decay_rate, partition, partition_levels)
+                       decay_rate, invariant_suite, partition, partition_levels)
 from .dimension import (DimensionEstimate, delta0, hd_curve, hd_estimate,
                         pressure_sum, zero_run_count,
                         zero_run_count_bruteforce)

@@ -32,10 +32,6 @@ class Word:
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("word bits must be 0 or 1")
 
-    def append(self, bit: int) -> "Word":
-        """New innermost bit (rightmost)."""
-        return Word(self.bits + (bit,))
-
     @property
     def parity(self) -> int:
         """+1 for an even number of 1-bits, -1 for odd (sign of g_w')."""
@@ -72,11 +68,24 @@ def apply_branches(family: MapFamily, eps: float, sides,
     of the result, of shape ``(len(sides) + 1, *np.shape(points))``, holds
     the points after the first ``k`` branches.  An interval is carried as
     its two endpoints; a side-1 branch reverses their order.
+
+    A step is one side for all points, or a row of one side per point
+    (``sides`` of shape ``(steps, n)`` for points of shape ``(n, ...)``,
+    broadcast over the trailing axes), which splits the points by side.
     """
     rows = np.empty((len(sides) + 1,) + np.shape(points))
     rows[0] = points
     for k, side in enumerate(sides):
-        rows[k + 1] = family.inverse_branch(eps, side, rows[k])
+        if np.ndim(side) == 0:
+            rows[k + 1] = family.inverse_branch(eps, side, rows[k])
+            continue
+        side = np.broadcast_to(np.reshape(side, (-1,) + (1,) * (rows.ndim - 2)),
+                               rows.shape[1:])
+        if not np.all((side == 0) | (side == 1)):
+            raise ValueError(f"sides must be 0 or 1, got {np.ravel(side)}")
+        for s in (0, 1):
+            sel = side == s
+            rows[k + 1][sel] = family.inverse_branch(eps, s, rows[k][sel])
     return rows
 
 
@@ -150,6 +159,37 @@ def partition_levels(family: MapFamily, eps: float, n: int) -> list[Partition]:
 def partition(family: MapFamily, eps: float, n: int) -> Partition:
     """The depth-n partition: all 2^(n+1) cylinders with words of length n+1."""
     return partition_levels(family, eps, n)[-1]
+
+
+def invariant_suite(family: MapFamily, eps: float) -> dict:
+    """Endpoint, nesting/additivity and shift-conjugacy checks on every cell
+    of the partitions 0..8, as ``{suite: {"checks": n, "passed": bool}}``:
+    each parent (the domain above level 0) is its two children and the gap
+    >= 0 between them, and ``f`` maps the midpoint of cell ``i`` into cell
+    ``i & (2^n - 1)`` of the level above, ``I_{sigma w}``."""
+    tol = 1e-10
+    dlo, dhi = family.domain
+    ends = np.asarray(family.eval(eps, np.asarray(family.domain))) - dlo
+    top = family.critical_value(eps) - (dhi + eps * (dhi - dlo) / 2.0)
+    levels = partition_levels(family, eps, 8)
+    nest_ok = conj_ok = True
+    up_los, up_his = np.asarray([dlo]), np.asarray([dhi])
+    for level in levels:
+        los, his = level.los.reshape(-1, 2), level.his.reshape(-1, 2)
+        gaps = los.max(axis=1) - his.min(axis=1)
+        nest_ok &= bool(np.all(gaps >= -tol)
+                        and np.all(np.abs(los.min(axis=1) - up_los) <= tol)
+                        and np.all(np.abs(his.max(axis=1) - up_his) <= tol))
+        # row b, column j: cell b * 2^n + j, whose image is cell j above
+        image = family.eval(eps, (level.los + level.his) / 2.0).reshape(2, -1)
+        conj_ok &= bool(np.all(image >= up_los - tol)
+                        and np.all(image <= up_his + tol))
+        up_los, up_his = level.los, level.his
+    cells = sum(map(len, levels))
+    return {"endpoints": {"checks": 3, "passed": bool(
+                np.max(np.abs(ends)) < tol and abs(top) < 1e-9)},
+            "nesting_additivity": {"checks": cells // 2, "passed": nest_ok},
+            "shift_conjugacy": {"checks": cells, "passed": conj_ok}}
 
 
 def decay_rate(family: MapFamily, eps: float, n_max: int):

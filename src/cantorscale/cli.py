@@ -57,21 +57,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _jsonable(obj):
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-                    + "\n")
+    # numpy scalars are written as the Python numbers they hold
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               default=lambda obj: obj.item()) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -122,20 +111,25 @@ class Experiment:
         self.depth = _integer("depth", cfg.get("depth", 10))
         if not 0 <= self.depth <= MAX_DEPTH:
             raise ConfigError(f"key 'depth': {self.depth} outside [0, {MAX_DEPTH}]")
-        self.eps = _real("epsilon", cfg.get("epsilon", 0.0))
+        check = self.family.check_param
+        self.eps = check(_real("epsilon", cfg.get("epsilon", 0.0)))
         grid = cfg.get("epsilon_grid")
         if grid is not None and not isinstance(grid, list):
             raise ConfigError(f"key 'epsilon_grid': expected a list, got {grid!r}")
         self.eps_grid = (None if grid is None
-                         else [_real("epsilon_grid", e) for e in grid])
+                         else [check(_real("epsilon_grid", e)) for e in grid])
         if self.eps_grid is not None and self.eps_grid != sorted(self.eps_grid):
             raise ConfigError("key 'epsilon_grid': grid must be sorted ascending")
         self.seed = _integer("seed", cfg.get("seed", 0))
         self.dual_point_text = cfg.get("dual_point")
         self.n_samples = _integer("samples", cfg.get("samples", 1000))
-        prefix = cfg.get("output", self.command.replace("-", "_"))
+        self.prefix = cfg.get("output", self.command.replace("-", "_"))
+        # a plain file name, so that the artifacts stay inside out_dir
+        if (not isinstance(self.prefix, str) or self.prefix in ("", ".", "..")
+                or Path(self.prefix).name != self.prefix):
+            raise ConfigError("key 'output': expected a plain file name, "
+                              f"got {self.prefix!r}")
         self.out_dir = out_dir
-        self.prefix = str(prefix)
 
     def path(self, suffix: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -245,6 +239,9 @@ class Experiment:
         return f"metric-check round_trip={round_trip:.2e}"
 
     def cmd_distortion_check(self) -> str:
+        if min(self.n_samples, self.depth) < 1:
+            key = "samples" if self.n_samples < 1 else "depth"
+            raise ConfigError(f"key {key!r}: distortion-check needs at least 1")
         n_pass, n_total, worst, _ = geometry.distortion_suite(
             self.family, self.eps, self.n_samples,
             max_word_len=min(self.depth, 15), seed=self.seed)
@@ -274,7 +271,7 @@ class Experiment:
                 f"limits={analysis.one_sided_limits}")
 
     def cmd_invariants(self) -> str:
-        results = run_invariant_suite(self.family, self.eps, self.seed)
+        results = branches.invariant_suite(self.family, self.eps)
         _write_json(self.path(".json"), results)
         failed = [k for k, v in results.items() if not v["passed"]]
         if failed:
@@ -282,49 +279,6 @@ class Experiment:
         return ("invariants passed=" +
                 f"{sum(v['checks'] for v in results.values())} checks in "
                 f"{len(results)} suites")
-
-
-def run_invariant_suite(family, eps: float, seed: int) -> dict:
-    """Seeded property suites: endpoints, nesting, additivity, conjugacy."""
-    from .branches import Word, cylinder
-    rng = np.random.default_rng(seed)
-    results = {}
-
-    dlo, dhi = family.domain
-    xs = np.linspace(dlo, dhi, 1001)
-    vals = np.asarray(family.eval(eps, xs))
-    end_err = max(abs(float(vals[0]) - dlo), abs(float(vals[-1]) - dlo))
-    top = family.critical_value(eps) - (dhi + eps * (dhi - dlo) / 2.0)
-    results["endpoints"] = {"checks": 3,
-                            "passed": bool(end_err < 1e-10 and abs(top) < 1e-9)}
-
-    nest_ok, checks = True, 0
-    for _ in range(50):
-        length = int(rng.integers(1, 9))
-        w = Word(tuple(int(b) for b in rng.integers(0, 2, size=length)))
-        parent = cylinder(family, eps, w)
-        c0 = cylinder(family, eps, w.append(0))
-        c1 = cylinder(family, eps, w.append(1))
-        tol = 1e-10
-        nest_ok &= (c0.lo >= parent.lo - tol and c0.hi <= parent.hi + tol
-                    and c1.lo >= parent.lo - tol and c1.hi <= parent.hi + tol)
-        gap_len = parent.length - c0.length - c1.length
-        nest_ok &= gap_len >= -1e-10
-        checks += 1
-    results["nesting_additivity"] = {"checks": checks, "passed": bool(nest_ok)}
-
-    conj_ok = True
-    from .symbolic import Code, point_from_code
-    for _ in range(25):
-        coords = tuple(int(b) for b in rng.integers(0, 2, size=14))
-        code = Code(coords, "truncated")
-        x, _ = point_from_code(family, eps, code, 12)
-        fx = float(family.eval(eps, x))
-        x_shift, bound = point_from_code(family, eps, code.shift(), 11)
-        conj_ok &= abs(fx - x_shift) <= max(1e-6, 50 * bound)
-    results["shift_conjugacy"] = {"checks": 25, "passed": bool(conj_ok)}
-
-    return results
 
 
 def main(argv=None) -> int:

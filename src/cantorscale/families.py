@@ -331,11 +331,10 @@ class Figure6(MapFamily):
     def _eval_raw(self, eps, x):
         x = np.asarray(x, dtype=float)
         c = self.c
+        x2 = x * x
         if self.normalized:
             # (1/2) f_c(2x):  1 - 2 x^2 + 8 c x^2 (1 - x^2)
-            x2 = x * x
             return 1.0 - 2.0 * x2 + 8.0 * c * x2 * (1.0 - x2)
-        x2 = x * x
         return -x2 + 2.0 + c * x2 * (4.0 - x2)
 
     def _deriv_raw(self, eps, x):

@@ -194,7 +194,11 @@ def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
         D = (A + B C2) C3,         E = C C3.
     """
     eps = family.check_param(eps)
-    levels = partition_levels(family, eps, 2)
+    return _estimate_constants(family, eps, partition_levels(family, eps, 2))
+
+
+def _estimate_constants(family: MapFamily, eps: float, levels):
+    # the body of estimate_constants, given the partitions of depth 0..2
     eta1, eta2 = levels[1], levels[2]
     alpha = default_alpha(family)
     g = family.gamma
@@ -256,6 +260,34 @@ def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
         D=(A + B * C2_sum) * C3_sum, E=C * C3_sum, degenerate=degenerate)
 
 
+def _distortion(family: MapFamily, eps: float, sides, steps, x, y,
+                constants: GoodFamilyConstants):
+    """``distortion_check`` of many samples, as the arrays ``(lhs, rhs_orbit,
+    rhs_uniform, passed)``: sample ``i`` takes the first ``steps[i]``
+    branches of column ``i`` of ``sides`` (or of a 1-D ``sides``) from the
+    pair ``(x[i], y[i])``."""
+    dlo, dhi = family.domain
+    d_xy = np.minimum(np.minimum(x, y) - dlo, dhi - np.maximum(x, y))
+    j0 = np.abs(np.subtract(y, x))
+
+    # g_w'(t) = 1 / f'(g_w(t)) by the chain rule over the backward orbit;
+    # the steps past a sample's word add 0 to its sums
+    orbit = apply_branches(family, eps, sides, np.stack([x, y], axis=-1))[1:]
+    taken = np.arange(len(orbit))[:, None] < np.asarray(steps)
+    d = np.abs(family.deriv(eps, orbit))
+    log_ratio = np.where(taken, np.log(d[..., 1] / d[..., 0]), 0.0)
+    lens = np.where(taken, np.abs(orbit[..., 1] - orbit[..., 0]), 0.0)
+    k, a = constants, constants.alpha
+    t = np.array([(k.A + k.B * np.sum(lens, axis=0) + k.C * j0 / d_xy)
+                  * np.sum(lens ** a, axis=0), (k.D + k.E / d_xy) * j0 ** a])
+    # the bounds grow like exp(D/d_xy); report inf instead of overflowing
+    rhs_orbit, rhs_unif = np.exp(np.where(t < 700.0, t, np.inf))
+    lhs = np.exp(np.sum(log_ratio, axis=0))
+    slack = 1.0 + 1e-9
+    return (lhs, rhs_orbit, rhs_unif,
+            (lhs <= rhs_orbit * slack) & (lhs <= rhs_unif * slack))
+
+
 def distortion_check(family: MapFamily, eps: float, word: Word,
                      x: float, y: float,
                      constants: GoodFamilyConstants) -> DistortionCheck:
@@ -265,63 +297,43 @@ def distortion_check(family: MapFamily, eps: float, word: Word,
     orbit; ``rhs_orbit`` accumulates the backward-image sums explicitly,
     ``rhs_uniform`` absorbs them into the D, E constants.
     """
-    x_lo, x_hi = (x, y) if x <= y else (y, x)
-    dlo, dhi = family.domain
-    d_xy = min(x_lo - dlo, dhi - x_hi)
-    j0 = x_hi - x_lo
-
-    # g_w'(t) = 1 / f'(g_w(t)) by the chain rule over the backward orbit
-    orbit = apply_branches(family, eps, word.bits[::-1], [x, y])[1:]
-    d = np.abs(family.deriv(eps, orbit))
-    lens = np.abs(orbit[:, 1] - orbit[:, 0])
-    log_lhs = float(np.sum(np.log(d[:, 1] / d[:, 0])))
-    sum_len = float(np.sum(lens))
-    sum_len_alpha = float(np.sum(lens ** constants.alpha))
-
-    lhs = math.exp(log_lhs)
-    a = constants.alpha
-
-    def safe_exp(t: float) -> float:
-        # the bounds grow like exp(D/d_xy); report inf instead of overflowing
-        return math.exp(t) if t < 700.0 else math.inf
-
-    rhs_orbit = safe_exp((constants.A + constants.B * sum_len
-                          + constants.C * j0 / d_xy) * sum_len_alpha)
-    rhs_unif = safe_exp((constants.D + constants.E / d_xy) * j0 ** a)
-    slack = 1.0 + 1e-9
-    return DistortionCheck(
-        lhs=lhs, rhs_orbit=rhs_orbit, rhs_uniform=rhs_unif,
-        passed=(lhs <= rhs_orbit * slack and lhs <= rhs_unif * slack))
+    return DistortionCheck(*(v.item() for v in _distortion(
+        family, eps, word.bits[::-1], [len(word)], [x], [y], constants)))
 
 
 def distortion_suite(family: MapFamily, eps: float, n_samples: int,
                      max_word_len: int = 15, seed: int = 0):
     """Seeded random (word, x, y) distortion checks inside eta_1 cells.
 
+    The samples are drawn one after another and checked in one chain.
     Returns ``(n_passed, n_total, worst_margin, checks)`` where
     ``worst_margin`` is the smallest rhs/lhs ratio seen.
     """
+    if n_samples < 1 or max_word_len < 1:
+        raise ValueError("n_samples and max_word_len must be >= 1")
     rng = np.random.default_rng(seed)
-    constants = estimate_constants(family, eps)
-    eta1 = partition_levels(family, eps, 1)[1]
-    n_pass = 0
-    worst = math.inf
-    checks = []
+    levels = partition_levels(family, eps, 2)
+    constants = _estimate_constants(family, eps, levels)
+    lo_ok = np.maximum(levels[1].los, family.domain[0] + MIN_BOUNDARY_DISTANCE)
+    hi_ok = np.minimum(levels[1].his, family.domain[1] - MIN_BOUNDARY_DISTANCE)
+    # column n of sides is the word of sample n, innermost branch first
+    sides = np.zeros((max_word_len, n_samples), dtype=np.int64)
+    pairs, steps = np.empty((n_samples, 2)), []
     for _ in range(n_samples):
-        cell = int(rng.integers(0, len(eta1)))
-        lo, hi = float(eta1.los[cell]), float(eta1.his[cell])
-        dlo, dhi = family.domain
-        lo_ok = max(lo, dlo + MIN_BOUNDARY_DISTANCE)
-        hi_ok = min(hi, dhi - MIN_BOUNDARY_DISTANCE)
-        if hi_ok <= lo_ok:
+        cell = int(rng.integers(0, len(lo_ok)))
+        if hi_ok[cell] <= lo_ok[cell]:
             continue
-        x, y = rng.uniform(lo_ok, hi_ok, size=2)
-        if x == y:
+        n = len(steps)
+        pairs[n] = rng.uniform(lo_ok[cell], hi_ok[cell], size=2)
+        if pairs[n, 0] == pairs[n, 1]:
             continue
-        length = int(rng.integers(1, max_word_len + 1))
-        word = Word(tuple(int(b) for b in rng.integers(0, 2, size=length)))
-        chk = distortion_check(family, eps, word, float(x), float(y), constants)
-        checks.append(chk)
-        n_pass += chk.passed
-        worst = min(worst, min(chk.rhs_orbit, chk.rhs_uniform) / chk.lhs)
-    return n_pass, len(checks), worst, checks
+        steps.append(int(rng.integers(1, max_word_len + 1)))
+        sides[:steps[-1], n] = rng.integers(0, 2, size=steps[-1])[::-1]
+    n = len(steps)
+    lhs, rhs_orbit, rhs_unif, passed = _distortion(
+        family, eps, sides[:max(steps, default=0), :n], steps, *pairs[:n].T,
+        constants)
+    worst = np.min(np.minimum(rhs_orbit, rhs_unif) / lhs, initial=math.inf)
+    return (int(np.sum(passed)), n, float(worst),
+            list(map(DistortionCheck, lhs.tolist(), rhs_orbit.tolist(),
+                     rhs_unif.tolist(), passed.tolist())))

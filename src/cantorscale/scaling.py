@@ -166,15 +166,10 @@ def scaling_convergence(family: MapFamily, eps_grid, sample_points, depth: int):
     with ``eps1 = eps_grid[0]``.
     """
     eps_grid = list(eps_grid)
-    eps1 = eps_grid[0]
-    ref = np.asarray([scale_at(family, eps1, a, depth).value
-                      for a in sample_points])
-    out = []
-    for eps in eps_grid:
-        vals = np.asarray([scale_at(family, eps, a, depth).value
-                           for a in sample_points])
-        out.append((eps, float(np.max(np.abs(vals - ref)))))
-    return out
+    vals = [np.asarray([scale_at(family, eps, a, depth).value
+                        for a in sample_points]) for eps in eps_grid]
+    return [(eps, float(np.max(np.abs(v - vals[0]))))
+            for eps, v in zip(eps_grid, vals)]
 
 
 def holder_fit(family: MapFamily, eps: float, n_pairs: int, depth: int,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cantorscale as cs
 
@@ -202,6 +204,80 @@ def test_apply_branches_keeps_children_nested(family, eps):
         length = hi - lo
         total = length[:, 1] + length[:, 2] + np.maximum(gap, 0.0)
         assert np.max(np.abs(total - length[:, 0])) < tol
+
+
+PRESETS = [cs.Quadratic(), cs.GammaPower(1.5), cs.Tent(), cs.Figure6(-0.03),
+           cs.AsymQuadratic(0.3)]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(family=st.sampled_from(PRESETS), data=st.data(),
+       steps=st.integers(1, 20), n=st.integers(1, 6))
+def test_apply_branches_per_point_sides_match_the_columns(family, data, steps, n):
+    lo, hi = family.param_range
+    eps = data.draw(st.floats(lo, hi), label="eps")
+    sides = np.asarray(data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        min_size=steps, max_size=steps), label="sides"))
+    dlo, dhi = family.domain
+    points = np.asarray(data.draw(st.lists(
+        st.lists(st.floats(dlo, dhi), min_size=2, max_size=2),
+        min_size=n, max_size=n), label="points"))
+    rows = cs.apply_branches(family, eps, sides, points)
+    assert rows.shape == (steps + 1, n, 2)
+    for i in range(n):
+        column = cs.apply_branches(family, eps, tuple(sides[:, i].tolist()),
+                                   points[i])
+        assert np.array_equal(rows[:, i], column)
+
+
+def test_apply_branches_per_point_sides_are_checked():
+    q = cs.Quadratic()
+    with pytest.raises(ValueError, match="sides must be 0 or 1"):
+        cs.apply_branches(q, 0.2, [[0, 2]], [0.1, 0.2])
+    # a row of one side is the plain step
+    assert np.array_equal(cs.apply_branches(q, 0.2, [[1, 1]], [0.1, 0.2]),
+                          cs.apply_branches(q, 0.2, [1], [0.1, 0.2]))
+
+
+@pytest.mark.parametrize("family,eps", KERNEL_CASES + [
+    (cs.Quadratic(), 0.3), (cs.GammaPower(1.5), 0.2), (cs.Tent(), 1.0),
+    (cs.Figure6(0.02, normalize=False), 0.0), (cs.AsymQuadratic(-0.45), 0.5)])
+def test_invariant_suite_passes_on_every_word(family, eps):
+    assert cs.invariant_suite(family, eps) == {
+        "endpoints": {"checks": 3, "passed": True},
+        "nesting_additivity": {"checks": 511, "passed": True},
+        "shift_conjugacy": {"checks": 1022, "passed": True}}
+
+
+class _SkewedQuadratic(cs.Quadratic):
+    """The quadratic with a map that no longer matches its inverse branches."""
+
+    def _eval_raw(self, eps, x):
+        return super()._eval_raw(eps, x) * (1.0 - 1e-3 * np.asarray(x))
+
+
+class _OverlappingQuadratic(cs.Quadratic):
+    """Branch images [-1, 0.01] and [-0.01, 1]: children overlap, hull intact."""
+
+    def _inverse(self, eps, side, y):
+        x = super()._inverse(eps, side, y)
+        return x + 0.01 * (1.0 + x) if side == 0 else x - 0.01 * (1.0 - x)
+
+
+class _ShrunkQuadratic(cs.Quadratic):
+    """Branch images inside (-1, 1): the children no longer reach the ends."""
+
+    def _inverse(self, eps, side, y):
+        return 0.99 * super()._inverse(eps, side, y)
+
+
+@pytest.mark.parametrize("broken,eps,suite", [
+    (_SkewedQuadratic(), 0.3, "shift_conjugacy"),
+    (_OverlappingQuadratic(), 0.0, "nesting_additivity"),
+    (_ShrunkQuadratic(), 0.3, "nesting_additivity")])
+def test_invariant_suite_sees_a_broken_family(broken, eps, suite):
+    assert not cs.invariant_suite(broken, eps)[suite]["passed"]
 
 
 def test_word_rendering_and_index_round_trip():

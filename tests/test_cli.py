@@ -230,6 +230,65 @@ def test_bad_config_value_types_exit_1(tmp_path, capsys, key, value):
     assert not (tmp_path / "distortion_check.json").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("samples", 0), ("samples", -3), ("depth", 0)])
+def test_distortion_check_needs_a_sample_and_a_branch(tmp_path, capsys, key,
+                                                      value):
+    cfg = {"command": "distortion-check", "family": {"kind": "quadratic"},
+           "epsilon": 0.2, "depth": 3, "samples": 5, key: value}
+    assert run_cli(tmp_path, cfg) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "distortion_check.json").exists()
+
+
+@pytest.mark.parametrize("output", [
+    "../escaped", "sub/name", "/abs", "", ".", "..", 7, None, ["a"]])
+def test_output_must_be_a_plain_file_name(tmp_path, capsys, output):
+    out = tmp_path / "out"
+    cfg = {"command": "metric-check", "family": {"kind": "quadratic"},
+           "output": output}
+    assert run_cli(tmp_path, cfg) == 1
+    assert "'output'" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_output_plain_name_is_written_inside_out(tmp_path):
+    cfg = {"command": "metric-check", "family": {"kind": "quadratic"},
+           "output": "run.1"}
+    assert run_cli(tmp_path, cfg) == 0
+    assert (tmp_path / "run.1.json").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"command": "metric-check", "family": {"kind": "quadratic"},
+     "epsilon": 5.0},
+    {"command": "metric-check", "family": {"kind": "quadratic"},
+     "epsilon": -0.1},
+    {"command": "metric-check", "family": {"kind": "figure6"},
+     "epsilon": 0.1},
+])
+def test_epsilon_outside_the_family_range_exits_1(tmp_path, capsys, cfg):
+    assert run_cli(tmp_path, cfg) == 1
+    assert "outside" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_invariants_check_every_word_whatever_the_seed(tmp_path):
+    written = []
+    for seed in (1, 2):
+        cfg = {"command": "invariants", "family": {"kind": "figure6",
+                                                    "params": {"c": -0.03}},
+               "seed": seed, "output": f"inv{seed}"}
+        assert run_cli(tmp_path, cfg, name=f"cfg{seed}.json") == 0
+        written.append((tmp_path / f"inv{seed}.json").read_bytes())
+    assert written[0] == written[1]
+    data = json.loads(written[0])
+    assert data == {"endpoints": {"checks": 3, "passed": True},
+                    "nesting_additivity": {"checks": 511, "passed": True},
+                    "shift_conjugacy": {"checks": 1022, "passed": True}}
+
+
 @pytest.mark.parametrize("family", [
     {"kind": "figure6", "shape": -0.05},
     {"kind": "figure6", "params": {"c": -0.05, "scale": 2.0}},

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import cantorscale as cs
-from cantorscale.geometry import (CONSTANT_SAMPLES, GapGeometrySummary,
-                                  _holder_constant)
+from cantorscale.geometry import (CONSTANT_SAMPLES, MIN_BOUNDARY_DISTANCE,
+                                  GapGeometrySummary, _holder_constant)
 
 
 def test_leading_gap_examples():
@@ -159,6 +159,112 @@ def test_distortion_suite_all_pass(eps):
     assert passed == total
     assert len(checks) == total
     assert worst >= 0
+
+
+def _distortion_check_loop(family, eps, word, x, y, constants):
+    """Reference: ``distortion_check`` as one chain of scalar sums."""
+    x_lo, x_hi = (x, y) if x <= y else (y, x)
+    dlo, dhi = family.domain
+    d_xy = min(x_lo - dlo, dhi - x_hi)
+    j0 = x_hi - x_lo
+    orbit = cs.apply_branches(family, eps, word.bits[::-1], [x, y])[1:]
+    d = np.abs(family.deriv(eps, orbit))
+    lens = np.abs(orbit[:, 1] - orbit[:, 0])
+    lhs = math.exp(float(np.sum(np.log(d[:, 1] / d[:, 0]))))
+    sum_len = float(np.sum(lens))
+    sum_len_alpha = float(np.sum(lens ** constants.alpha))
+    a = constants.alpha
+
+    def safe_exp(t):
+        return math.exp(t) if t < 700.0 else math.inf
+
+    rhs_orbit = safe_exp((constants.A + constants.B * sum_len
+                          + constants.C * j0 / d_xy) * sum_len_alpha)
+    rhs_unif = safe_exp((constants.D + constants.E / d_xy) * j0 ** a)
+    slack = 1.0 + 1e-9
+    return cs.DistortionCheck(
+        lhs=lhs, rhs_orbit=rhs_orbit, rhs_uniform=rhs_unif,
+        passed=(lhs <= rhs_orbit * slack and lhs <= rhs_unif * slack))
+
+
+def _distortion_suite_loop(family, eps, n_samples, max_word_len=15, seed=0):
+    """Reference: ``distortion_suite`` as one Python chain per sample."""
+    rng = np.random.default_rng(seed)
+    constants = cs.estimate_constants(family, eps)
+    eta1 = cs.partition_levels(family, eps, 1)[1]
+    n_pass, worst, checks = 0, math.inf, []
+    for _ in range(n_samples):
+        cell = int(rng.integers(0, len(eta1)))
+        lo, hi = float(eta1.los[cell]), float(eta1.his[cell])
+        dlo, dhi = family.domain
+        lo_ok = max(lo, dlo + MIN_BOUNDARY_DISTANCE)
+        hi_ok = min(hi, dhi - MIN_BOUNDARY_DISTANCE)
+        if hi_ok <= lo_ok:
+            continue
+        x, y = rng.uniform(lo_ok, hi_ok, size=2)
+        if x == y:
+            continue
+        length = int(rng.integers(1, max_word_len + 1))
+        word = cs.Word(tuple(int(b) for b in rng.integers(0, 2, size=length)))
+        chk = _distortion_check_loop(family, eps, word, float(x), float(y),
+                                     constants)
+        checks.append(chk)
+        n_pass += chk.passed
+        worst = min(worst, min(chk.rhs_orbit, chk.rhs_uniform) / chk.lhs)
+    return n_pass, len(checks), worst, checks
+
+
+# the distortion suites of the benchmark and the acceptance seed
+SUITE_CASES = [
+    (cs.Quadratic(), 0.05, 200, 15, 1), (cs.Quadratic(), 0.2, 200, 15, 2),
+    (cs.Quadratic(), 0.5, 200, 15, 3), (cs.GammaPower(3.0), 0.2, 100, 15, 4),
+    (cs.GammaPower(1.5), 0.2, 100, 15, 5), (cs.AsymQuadratic(0.3), 0.2, 15, 15, 20260),
+    (cs.Tent(), 0.5, 100, 6, 7),
+] + [(cs.Quadratic(), eps, 3334, 15, 42) for eps in (0.05, 0.2, 0.5)]
+
+
+@pytest.mark.parametrize("family,eps,n,max_len,seed", SUITE_CASES, ids=[
+    f"{c[0].kind}{c[0].extra.get('gamma', '')}-{c[1]}-seed{c[4]}"
+    for c in SUITE_CASES])
+def test_distortion_suite_matches_the_per_sample_loop(family, eps, n, max_len,
+                                                      seed):
+    passed, total, worst, checks = cs.distortion_suite(family, eps, n, max_len,
+                                                       seed)
+    ref_passed, ref_total, ref_worst, ref = _distortion_suite_loop(
+        family, eps, n, max_len, seed)
+    assert (passed, total) == (ref_passed, ref_total)
+    assert [c.passed for c in checks] == [c.passed for c in ref]
+    assert worst == pytest.approx(ref_worst, rel=1e-13)
+    for name in ("lhs", "rhs_orbit", "rhs_uniform"):
+        got = np.asarray([getattr(c, name) for c in checks])
+        want = np.asarray([getattr(c, name) for c in ref])
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("max_len", [1, 4, 15])
+def test_distortion_suite_runs_one_chain(monkeypatch, max_len):
+    family, eps = cs.Quadratic(), 0.2
+    calls = []
+    inverse = cs.MapFamily.inverse_branch
+
+    def counted(self, *args):
+        calls.append(1)
+        return inverse(self, *args)
+
+    monkeypatch.setattr(cs.MapFamily, "inverse_branch", counted)
+    cs.estimate_constants(family, eps)
+    setup = len(calls)
+    calls.clear()
+    assert cs.distortion_suite(family, eps, 300, max_len, seed=3)[1] == 300
+    assert len(calls) <= setup + 2 * max_len
+
+
+@pytest.mark.parametrize("n,max_len", [(0, 15), (-2, 15), (10, 0), (10, -1)])
+def test_distortion_suite_needs_a_sample_and_a_branch(n, max_len):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        cs.distortion_suite(cs.Quadratic(), 0.2, n, max_len)
 
 
 def test_min_child_ratio_stability():
