@@ -26,7 +26,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -63,13 +62,15 @@ def _write_json(path: Path, payload: dict) -> None:
                                default=lambda obj: obj.item()) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Stream ``rows`` as comma-joined lines ended by CRLF, as ``csv.writer``
-    writes them; no cell written here needs quoting."""
+def _write_csv(path: Path, header: list[str], chunks) -> None:
+    """Write ``header``, then each chunk, a tuple of equally long columns of
+    cell strings, as comma-joined lines ended by CRLF, as ``csv.writer``
+    writes them; no cell written here needs quoting.  Each chunk is written
+    at once, so a file streamed in chunks is never held in memory."""
     with path.open("w", newline="") as fh:
-        fh.writelines(",".join([_fmt(v) if isinstance(v, float) else str(v)
-                                for v in row]) + "\r\n"
-                      for row in chain([header], rows))
+        fh.write(",".join(header) + "\r\n")
+        for columns in chunks:
+            fh.write("\r\n".join([*map(",".join, zip(*columns)), ""]))
 
 
 def _integer(key: str, value) -> int:
@@ -136,10 +137,13 @@ class Experiment:
         return self.out_dir / f"{self.prefix}{suffix}"
 
     def dual_point(self) -> DualPoint:
-        if not self.dual_point_text:
+        text = self.dual_point_text
+        if text is None:
             raise ConfigError("missing key 'dual_point'")
+        if not isinstance(text, str):
+            raise ConfigError(f"key 'dual_point': expected a string, got {text!r}")
         try:
-            return parse_dual_point(self.dual_point_text)
+            return parse_dual_point(text)
         except ValueError as exc:
             raise ConfigError(f"key 'dual_point': {exc}") from exc
 
@@ -161,23 +165,21 @@ class Experiment:
         while odd.size < n:
             odd = np.concatenate([odd, ~odd])
         columns = (part.los, part.his, part.lengths)
-        # whole columns are formatted a chunk at a time, and each chunk is
-        # written at once: the file is never held in memory
-        with self.path(".csv").open("w", newline="") as fh:
-            fh.write("word,lo,hi,length,orientation\r\n")
-            for start in range(0, n, CSV_CHUNK_ROWS):
-                stop = min(start + CSV_CHUNK_ROWS, n)
-                cells = ([format(i, word_fmt) for i in range(start, stop)],
-                         *(map(repr, col[start:stop].tolist()) for col in columns),
-                         ["-1" if o else "1" for o in odd[start:stop].tolist()])
-                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        chunks = (slice(start, start + CSV_CHUNK_ROWS)
+                  for start in range(0, n, CSV_CHUNK_ROWS))
+        _write_csv(self.path(".csv"), ["word", "lo", "hi", "length", "orientation"],
+                   (([format(i, word_fmt) for i in range(n)[c]],
+                     *(map(repr, col[c].tolist()) for col in columns),
+                     ["-1" if o else "1" for o in odd[c].tolist()])
+                    for c in chunks))
         return (f"partition depth={self.depth} cells={len(part)} "
                 f"lambda_n={part.lambda_n:.6g}")
 
     def cmd_scaling_graph(self) -> str:
         rows = scaling.scaling_graph(self.family, self.eps, self.depth)
-        _write_csv(self.path(".csv"), ["x_coord", "word", "s"], rows)
-        vals = [s for _, _, s in rows]
+        xs, words, vals = zip(*rows)
+        _write_csv(self.path(".csv"), ["x_coord", "word", "s"],
+                   [(map(_fmt, xs), words, map(_fmt, vals))])
         return (f"scaling-graph depth={self.depth} rows={len(rows)} "
                 f"s_range=[{min(vals):.4f},{max(vals):.4f}]")
 
@@ -212,10 +214,10 @@ class Experiment:
 
     def cmd_dimension_curve(self) -> str:
         ests, slope = dimension.hd_curve(self.family, self.grid(), self.depth)
+        columns = zip(*[(e.epsilon, e.delta, *e.bracket) for e in ests])
         _write_csv(self.path(".csv"),
                    ["epsilon", "delta", "bracket_lo", "bracket_hi"],
-                   [(e.epsilon, e.delta, e.bracket[0], e.bracket[1])
-                    for e in ests])
+                   [[map(_fmt, col) for col in columns]])
         _write_json(self.path("_fit.json"), {"slope": slope,
                                              "depth": self.depth})
         return f"dimension-curve slope={slope:.4f} points={len(ests)}"
@@ -298,13 +300,10 @@ def main(argv=None) -> int:
     try:
         experiment = Experiment(cfg, Path(args.out))
         summary = experiment.run()
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 2
-    except CantorScaleError as exc:
+    except (CantorScaleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -137,30 +137,23 @@ def delta0(eps: float, C6: float) -> float:
     return math.log(2.0) / (math.log(2.0) - math.log(1.0 - t))
 
 
-def zero_run_count(n: int, max_run: int = 3) -> int:
-    """Binary strings of length n whose longest zero run is < max_run.
+def zero_run_count(n: int) -> int:
+    """Binary strings of length n with no run of three zeros.
 
-    Linear recurrence over the trailing-run state; for ``max_run = 3``
-    this is the tribonacci-style a(n) = a(n-1) + a(n-2) + a(n-3).
+    The tribonacci recurrence a(n) = a(n-1) + a(n-2) + a(n-3), run as a
+    linear recurrence over the number of trailing zeros.
     """
     if not 1 <= n <= 62:
         raise DomainError("n must lie in [1, 62] (overflow guard)")
-    if max_run < 1:
-        raise DomainError("max_run must be >= 1")
-    # state[r] = number of valid strings with exactly r trailing zeros
-    state = [0] * max_run
-    state[0] = 1  # empty string
+    # z_r: valid strings ending in exactly r zeros; start: the empty string
+    z0, z1, z2 = 1, 0, 0
     for _ in range(n):
-        total = sum(state)
-        new = [0] * max_run
-        new[0] = total                 # append a one: trailing run resets
-        for r in range(1, max_run):
-            new[r] = state[r - 1]      # append a zero: run grows, must stay < max_run
-        state = new
-    return sum(state)
+        # append a one (the run resets) or a zero (the run grows)
+        z0, z1, z2 = z0 + z1 + z2, z0, z1
+    return z0 + z1 + z2
 
 
-def zero_run_count_bruteforce(n: int, max_run: int = 3) -> int:
+def zero_run_count_bruteforce(n: int) -> int:
     """Direct enumeration cross-check (n <= 20)."""
     if n > 20:
         raise DomainError("brute force capped at n = 20")
@@ -170,4 +163,4 @@ def zero_run_count_bruteforce(n: int, max_run: int = 3) -> int:
     for k in range(n):
         run = np.where((strings >> k) & 1, 0, run + 1)
         np.maximum(longest, run, out=longest)
-    return int(np.count_nonzero(longest < max_run))
+    return int(np.count_nonzero(longest < 3))

@@ -33,6 +33,8 @@ right.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,9 +199,10 @@ class MapFamily:
             xs = xs[np.abs(xs) > 0.05 * half]
             h = FD_STEP_HIGH * half
             f1 = self._deriv_raw(eps, xs)
-            f2 = (self._deriv_raw(eps, xs + h) - self._deriv_raw(eps, xs - h)) / (2 * h)
-            f3 = (self._deriv_raw(eps, xs + h) - 2 * f1
-                  + self._deriv_raw(eps, xs - h)) / h**2
+            f_up = self._deriv_raw(eps, xs + h)
+            f_down = self._deriv_raw(eps, xs - h)
+            f2 = (f_up - f_down) / (2 * h)
+            f3 = (f_up - 2 * f1 + f_down) / h**2
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = f3 / f1 - 1.5 * (f2 / f1) ** 2
             s = s[np.isfinite(s)]
@@ -403,29 +406,40 @@ class AsymQuadratic(MapFamily):
 # Construction from a specification record
 # ---------------------------------------------------------------------------
 
-_PRESETS = ("quadratic", "gamma_power", "figure6", "tent", "asym_quadratic")
-_PARAMS = ("gamma", "c", "beta", "normalize")
+#: kind -> (class, {param: default}): the params each preset takes
+_PRESETS = {
+    "quadratic": (Quadratic, {}),
+    "gamma_power": (GammaPower, {"gamma": 2.0}),
+    "figure6": (Figure6, {"c": 0.0, "normalize": True}),
+    "tent": (Tent, {}),
+    "asym_quadratic": (AsymQuadratic, {"beta": 0.0}),
+}
 
 
-def make_family(kind: str, **params) -> MapFamily:
-    """Build a preset by name.  Recognized params: gamma, c, beta, normalize."""
-    unknown = sorted(set(params) - set(_PARAMS))
+def make_family(kind: str, /, **params) -> MapFamily:
+    """Build a preset by name from the params its kind takes.
+
+    gamma_power takes ``gamma``, figure6 ``c`` and ``normalize``,
+    asym_quadratic ``beta``; quadratic and tent take none.  ``normalize``
+    must be a bool and the others finite real numbers, not bools.  Any
+    other param or value is refused.
+    """
+    if not isinstance(kind, str) or kind not in _PRESETS:
+        raise ParameterRangeError(f"unknown family kind {kind!r}; "
+                                  f"expected one of {tuple(_PRESETS)}")
+    cls, defaults = _PRESETS[kind]
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
-        raise ParameterRangeError(f"unknown family parameter(s) {unknown}; "
-                                  f"expected some of {_PARAMS}")
-    if kind == "quadratic":
-        return Quadratic()
-    if kind == "gamma_power":
-        return GammaPower(gamma=params.get("gamma", 2.0))
-    if kind == "figure6":
-        return Figure6(c=params.get("c", 0.0),
-                       normalize=params.get("normalize", True))
-    if kind == "tent":
-        return Tent()
-    if kind == "asym_quadratic":
-        return AsymQuadratic(beta=params.get("beta", 0.0))
-    raise ParameterRangeError(f"unknown family kind {kind!r}; "
-                              f"expected one of {_PRESETS}")
+        raise ParameterRangeError(f"{kind}: unknown parameter(s) {unknown}; "
+                                  f"expected some of {sorted(defaults)}")
+    for name, value in params.items():
+        want_bool = isinstance(defaults[name], bool)
+        if (isinstance(value, bool) != want_bool
+                or not isinstance(value, numbers.Real) or not math.isfinite(value)):
+            raise ParameterRangeError(
+                f"{kind}: parameter {name!r} expects "
+                f"{'a bool' if want_bool else 'a finite number'}, got {value!r}")
+    return cls(**{**defaults, **params})
 
 
 def family_from_spec(spec: dict) -> MapFamily:
@@ -433,15 +447,14 @@ def family_from_spec(spec: dict) -> MapFamily:
 
     Keys: ``kind`` (required) and ``params`` (a map of the ``make_family``
     params); each param may also be given at the top level, where
-    ``params`` takes precedence.  Any other key is rejected.
+    ``params`` takes precedence.  ``make_family`` judges the params.
     """
+    if not isinstance(spec, dict):
+        raise ParameterRangeError(f"family spec must be a map, got {spec!r}")
     if "kind" not in spec:
         raise ParameterRangeError("family spec missing key 'kind'")
-    unknown = sorted(set(spec) - {"kind", "params", *_PARAMS})
-    if unknown:
-        raise ParameterRangeError(f"unknown family spec key(s) {unknown}")
-    params = spec.get("params") or {}
+    params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ParameterRangeError("family spec key 'params' must be a map")
-    top = {k: spec[k] for k in _PARAMS if k in spec}
+    top = {k: v for k, v in spec.items() if k not in ("kind", "params")}
     return make_family(spec["kind"], **{**top, **params})

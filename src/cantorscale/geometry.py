@@ -20,7 +20,7 @@ import numpy as np
 from .branches import (Word, apply_branches, cylinder, decay_rate,
                        partition_levels)
 from .errors import DomainError
-from .families import GammaPower, MapFamily
+from .families import MapFamily
 
 #: pairs closer to the boundary than this are excluded from distortion
 #: sampling: the uniform bound degenerates as d_xy -> 0
@@ -174,9 +174,7 @@ def _holder_constant(xs: np.ndarray, vals: np.ndarray, alpha: float) -> float:
 
 def default_alpha(family: MapFamily) -> float:
     """min(alpha', alpha''): 1 for the presets except gamma_power(gamma < 2)."""
-    if isinstance(family, GammaPower) and family.gamma < 2.0:
-        return family.gamma - 1.0
-    return 1.0
+    return 1.0 if family.piecewise_linear else min(family.gamma - 1.0, 1.0)
 
 
 def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
@@ -199,7 +197,7 @@ def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
 
 def _estimate_constants(family: MapFamily, eps: float, levels):
     # the body of estimate_constants, given the partitions of depth 0..2
-    eta1, eta2 = levels[1], levels[2]
+    eta0, eta1, eta2 = levels
     alpha = default_alpha(family)
     g = family.gamma
 
@@ -208,19 +206,15 @@ def _estimate_constants(family: MapFamily, eps: float, levels):
     if not (a_pt < 0.0 < d_pt):
         raise DomainError("level-2 partition collapsed; bad family")
 
-    def fprime(xs):
-        return np.abs(np.asarray(family.deriv(eps, xs)))
-
-    eta0 = levels[0]
-    xs_left = np.linspace(float(eta0.los[0]), float(eta0.his[0]), CONSTANT_SAMPLES)
-    xs_right = np.linspace(float(eta0.los[1]), float(eta0.his[1]), CONSTANT_SAMPLES)
-    c1 = float(min(np.min(fprime(xs_left)), np.min(fprime(xs_right))))
+    # row k samples I_k; each row is the 1-D linspace of its cell
+    xs = np.linspace(eta0.los, eta0.his, CONSTANT_SAMPLES, axis=1)
+    fprime = np.abs(family.deriv(eps, xs))
+    c1 = float(np.min(fprime))
     if c1 <= 0.0:
         raise DomainError(
             "derivative bound degenerates on the depth-1 cylinders "
             "(critical point on their closure; requires eps > 0)")
-    K1 = max(_holder_constant(xs_left, fprime(xs_left), alpha),
-             _holder_constant(xs_right, fprime(xs_right), alpha))
+    K1 = max(map(_holder_constant, xs, fprime, (alpha, alpha)))
 
     degenerate = family.piecewise_linear
     if degenerate:
@@ -230,17 +224,16 @@ def _estimate_constants(family: MapFamily, eps: float, levels):
     else:
         from .metric import MetricChange, _tilde_deriv_at
         m = MetricChange(g, eps)
-        c2, K2, c3, K3 = math.inf, 0.0, math.inf, 0.0
-        for lo_x, hi_x in ((a_pt, 0.0), (0.0, d_pt)):
-            xs = np.linspace(lo_x, hi_x, CONSTANT_SAMPLES + 2)[1:-1]
-            hp = np.asarray(m.h_prime(xs))
-            c3 = min(c3, float(np.min(hp)))
-            K3 = max(K3, _holder_constant(xs, hp, 1.0))
-            ys = np.asarray(m.h(xs))
-            # f~'(h(x)) straight from x: no round trip through h^{-1}
-            td = np.abs(_tilde_deriv_at(family, eps, xs))
-            c2 = min(c2, float(np.min(td)))
-            K2 = max(K2, _holder_constant(ys, td, alpha))
+        # rows: the open middle intervals (a, 0) and (0, d)
+        xs = np.linspace((a_pt, 0.0), (0.0, d_pt), CONSTANT_SAMPLES + 2,
+                         axis=1)[:, 1:-1]
+        hp = m.h_prime(xs)
+        c3 = float(np.min(hp))
+        K3 = max(map(_holder_constant, xs, hp, (1.0, 1.0)))
+        # f~'(h(x)) straight from x: no round trip through h^{-1}
+        td = np.abs(_tilde_deriv_at(family, eps, xs))
+        c2 = float(np.min(td))
+        K2 = max(map(_holder_constant, m.h(xs), td, (alpha, alpha)))
 
     C1 = float(min(eta1.lengths[0], eta1.lengths[2]))   # |I_00|, |I_10|
 

@@ -92,6 +92,33 @@ def test_csv_artifacts_match_csv_writer_bytes(tmp_path):
     assert (tmp_path / "scaling_graph.csv").read_bytes() == expected
 
 
+def test_chunked_partition_and_dimension_csv_match_csv_writer_bytes(
+        tmp_path, monkeypatch):
+    # 256 rows in chunks of 100: the last chunk is short
+    monkeypatch.setattr(cantorscale.cli, "CSV_CHUNK_ROWS", 100)
+    fam = cantorscale.Quadratic()
+    assert run_cli(tmp_path, {"command": "partition",
+                              "family": {"kind": "quadratic"},
+                              "epsilon": 0.3, "depth": 7}) == 0
+    part = cantorscale.partition(fam, 0.3, 7)
+    expected = _csv_writer_bytes(
+        ["word", "lo", "hi", "length", "orientation"],
+        [(str(part.word(i)), float(part.los[i]), float(part.his[i]),
+          float(part.lengths[i]), part.word(i).parity)
+         for i in range(len(part))])
+    assert (tmp_path / "partition.csv").read_bytes() == expected
+
+    grid = [0.01, 0.05, 0.1]
+    assert run_cli(tmp_path, {"command": "dimension-curve",
+                              "family": {"kind": "quadratic"},
+                              "epsilon_grid": grid, "depth": 8}) == 0
+    ests, _ = cantorscale.hd_curve(fam, grid, 8)
+    expected = _csv_writer_bytes(
+        ["epsilon", "delta", "bracket_lo", "bracket_hi"],
+        [(e.epsilon, e.delta, *e.bracket) for e in ests])
+    assert (tmp_path / "dimension_curve.csv").read_bytes() == expected
+
+
 def test_scaling_point_command(tmp_path):
     rc = run_cli(tmp_path, {"command": "scaling-point",
                             "family": {"kind": "quadratic"},
@@ -310,3 +337,30 @@ def test_unsorted_grid_rejected(tmp_path):
     assert run_cli(tmp_path, {"command": "gap-fit",
                               "family": {"kind": "quadratic"},
                               "epsilon_grid": [0.1, 0.01]}) == 1
+
+
+@pytest.mark.parametrize("family", [
+    5, ["kind"], None, {"kind": "quadratic", "gamma": 3.0},
+    {"kind": "tent", "params": {"gamma": 3.0}},
+    {"kind": "gamma_power", "params": {"beta": 0.3}},
+    {"kind": "figure6", "params": {"normalize": "no"}},
+    {"kind": "figure6", "c": "0.01"}, {"kind": "gamma_power", "gamma": None},
+    {"kind": "gamma_power", "gamma": True},
+])
+def test_bad_family_spec_exits_1_naming_the_key(tmp_path, capsys, family):
+    assert run_cli(tmp_path, {"command": "partition", "family": family,
+                              "depth": 3}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'family'") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["scaling-point", "jump-report"])
+@pytest.mark.parametrize("dual_point", [5, 0, False, ["0^inf|1."]])
+def test_non_string_dual_point_exits_1_naming_the_key(tmp_path, capsys,
+                                                      command, dual_point):
+    assert run_cli(tmp_path, {"command": command,
+                              "family": {"kind": "quadratic"},
+                              "depth": 4, "dual_point": dual_point}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'dual_point'") and "Traceback" not in err

@@ -388,3 +388,54 @@ def test_power_law_presets_keep_their_public_surface():
     assert cs.Figure6(0.0).param_range == (0.0, 0.0)
     with pytest.raises(TypeError):
         cs.Quadratic(param_range=(0.0, 2.0))
+
+
+def test_make_family_takes_the_params_of_its_kind():
+    # a JSON integer is a real number, as for epsilon
+    assert cs.make_family("gamma_power", gamma=3).gamma == 3.0
+    f = cs.make_family("figure6", c=-0.02, normalize=False)
+    assert f.c == -0.02 and not f.normalized
+    assert cs.make_family("asym_quadratic", beta=0.25).beta == 0.25
+    assert cs.make_family("gamma_power").gamma == 2.0
+    assert isinstance(cs.make_family("tent"), cs.Tent)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("quadratic", {"gamma": 3.0}), ("tent", {"gamma": 3.0}),
+    ("gamma_power", {"beta": 0.3}), ("gamma_power", {"c": 0.01}),
+    ("figure6", {"gamma": 3.0}), ("figure6", {"beta": 0.1}),
+    ("asym_quadratic", {"c": 0.01}), ("asym_quadratic", {"normalize": False}),
+    ("quadratic", {"normalize": True}), ("tent", {"beta": 0.0}),
+])
+def test_make_family_refuses_a_param_its_kind_does_not_take(kind, params):
+    with pytest.raises(cs.ParameterRangeError, match=repr(next(iter(params)))):
+        cs.make_family(kind, **params)
+    with pytest.raises(cs.ParameterRangeError):
+        cs.family_from_spec({"kind": kind, "params": params})
+    with pytest.raises(cs.ParameterRangeError):
+        cs.family_from_spec({"kind": kind, **params})
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("gamma_power", {"gamma": True}), ("gamma_power", {"gamma": "3"}),
+    ("gamma_power", {"gamma": None}), ("gamma_power", {"gamma": math.inf}),
+    ("figure6", {"c": "0.01"}), ("figure6", {"c": False}),
+    ("figure6", {"c": None}), ("figure6", {"normalize": "no"}),
+    ("figure6", {"normalize": 1}), ("figure6", {"normalize": None}),
+    ("asym_quadratic", {"beta": "0.2"}), ("asym_quadratic", {"beta": True}),
+])
+def test_make_family_refuses_a_value_of_the_wrong_type(kind, params):
+    with pytest.raises(cs.ParameterRangeError):
+        cs.make_family(kind, **params)
+    with pytest.raises(cs.ParameterRangeError):
+        cs.family_from_spec({"kind": kind, "params": params})
+
+
+@pytest.mark.parametrize("spec", [
+    5, None, "quadratic", ["kind"], {"kind": 5}, {"kind": ["quadratic"]},
+    {"kind": "quadratic", "params": {"kind": "tent"}},
+    {"kind": "figure6", "params": []}, {"kind": "quadratic", "params": None},
+])
+def test_spec_that_is_not_a_map_of_a_kind_is_refused(spec):
+    with pytest.raises(cs.ParameterRangeError):
+        cs.family_from_spec(spec)

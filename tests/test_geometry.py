@@ -7,7 +7,9 @@ import pytest
 
 import cantorscale as cs
 from cantorscale.geometry import (CONSTANT_SAMPLES, MIN_BOUNDARY_DISTANCE,
-                                  GapGeometrySummary, _holder_constant)
+                                  GapGeometrySummary, GoodFamilyConstants,
+                                  _holder_constant)
+from cantorscale.metric import _tilde_deriv_at
 
 
 def test_leading_gap_examples():
@@ -351,3 +353,77 @@ def test_estimate_constants_skips_the_metric_round_trip(family, eps, monkeypatch
     c2, K2 = _conjugate_derivative_bounds(family, eps, k.alpha)
     assert k.c2 == pytest.approx(c2, rel=1e-10)
     assert k.K2 == pytest.approx(K2, rel=1e-10)
+
+
+def _estimate_constants_per_side(family, eps):
+    """Reference: ``estimate_constants`` one side at a time, ``f'`` twice."""
+    eta0, eta1, eta2 = cs.partition_levels(family, eps, 2)
+    alpha = (family.gamma - 1.0 if isinstance(family, cs.GammaPower)
+             and family.gamma < 2.0 else 1.0)
+    g = family.gamma
+    a_pt, d_pt = float(eta2.los[2]), float(eta2.his[6])
+
+    def fprime(xs):
+        return np.abs(np.asarray(family.deriv(eps, xs)))
+
+    xs_left = np.linspace(float(eta0.los[0]), float(eta0.his[0]), CONSTANT_SAMPLES)
+    xs_right = np.linspace(float(eta0.los[1]), float(eta0.his[1]), CONSTANT_SAMPLES)
+    c1 = float(min(np.min(fprime(xs_left)), np.min(fprime(xs_right))))
+    K1 = max(_holder_constant(xs_left, fprime(xs_left), alpha),
+             _holder_constant(xs_right, fprime(xs_right), alpha))
+    degenerate = family.piecewise_linear
+    if degenerate:
+        c2 = c3 = 1.0
+        K2 = K3 = 0.0
+    else:
+        m = cs.MetricChange(g, eps)
+        c2, K2, c3, K3 = math.inf, 0.0, math.inf, 0.0
+        for lo_x, hi_x in ((a_pt, 0.0), (0.0, d_pt)):
+            xs = np.linspace(lo_x, hi_x, CONSTANT_SAMPLES + 2)[1:-1]
+            hp = np.asarray(m.h_prime(xs))
+            c3 = min(c3, float(np.min(hp)))
+            K3 = max(K3, _holder_constant(xs, hp, 1.0))
+            ys = np.asarray(m.h(xs))
+            td = np.abs(_tilde_deriv_at(family, eps, xs))
+            c2 = min(c2, float(np.min(td)))
+            K2 = max(K2, _holder_constant(ys, td, alpha))
+    C1 = float(min(eta1.lengths[0], eta1.lengths[2]))
+    A = K1 / c1 + (K3 ** alpha) * K2 / c2 + K3 / c3 + (g - 1.0) / g
+    B = (g - 1.0) / (g * C1)
+    C = (g - 1.0) / g
+    C0_fit, lam_fit, _, _ = cs.decay_rate(family, eps, n_max=10)
+    lam = min(lam_fit, 0.95)
+    C0 = 2.0 * max(C0_fit, 1.0)
+    C2_sum = 2.0 * C0 / (1.0 - lam)
+    C3_sum = (2.0 ** alpha) * C0 / (1.0 - lam ** alpha)
+    return GoodFamilyConstants(
+        c1=c1, K1=K1, c2=c2, K2=K2, c3=c3, K3=K3, C1=C1, alpha=alpha,
+        A=A, B=B, C=C, C2_sum=C2_sum, C3_sum=C3_sum,
+        D=(A + B * C2_sum) * C3_sum, E=C * C3_sum, degenerate=degenerate)
+
+
+@pytest.mark.parametrize("family", [
+    cs.Quadratic(), cs.GammaPower(1.5), cs.GammaPower(3.0), cs.Tent(),
+    cs.AsymQuadratic(0.3), cs.AsymQuadratic(-0.45)],
+    ids=["quadratic", "gamma1.5", "gamma3", "tent", "asym0.3", "asym-0.45"])
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.5])
+def test_estimate_constants_matches_the_per_side_reference(family, eps):
+    assert cs.estimate_constants(family, eps) == _estimate_constants_per_side(
+        family, eps)
+
+
+@pytest.mark.parametrize("family", [
+    cs.Quadratic(), cs.GammaPower(3.0), cs.AsymQuadratic(0.3)],
+    ids=["quadratic", "gamma3", "asym"])
+def test_estimate_constants_calls_deriv_twice(family, monkeypatch):
+    # once on the depth-1 cylinders, once inside f~' on the middle intervals
+    calls = []
+    deriv = cs.MapFamily.deriv
+
+    def counted(self, eps, x, side=None):
+        calls.append(np.shape(x))
+        return deriv(self, eps, x, side)
+
+    monkeypatch.setattr(cs.MapFamily, "deriv", counted)
+    cs.estimate_constants(family, 0.2)
+    assert calls == [(2, CONSTANT_SAMPLES), (2, CONSTANT_SAMPLES)]
