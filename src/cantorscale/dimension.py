@@ -8,7 +8,9 @@ which returns exactly delta = 1 when the cylinders tile the whole
 interval.  The logarithm of the sum is convex and strictly decreasing in
 delta, so Newton's method on it, kept inside a bisection bracket, finds
 the root in a few steps; the cross-depth pair (delta at depth-1, delta
-at depth) brackets the systematic error.
+at depth) brackets the systematic error.  A root reports the residual of
+its own numpy sum of ``r^delta``; ``pressure_sum`` is the compensated
+reference sum.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ def _solve_delta(part: Partition, domain_length: float,
     falls back to its midpoint.  The start delta = 1 is the root of a
     tiling, which then returns exactly 1.0.  Cells of zero length add
     nothing for delta > 0 and are left out of ``log r``.  The returned
-    residual is the compensated ``pressure_sum`` one, and must be < ``tol``.
+    residual ``|sum r^delta - 1|`` is the pairwise numpy sum over the same
+    ``log r``, within about log2(cells) ulps of the compensated
+    ``pressure_sum`` one, and must be < ``tol``.
     """
     rel = part.lengths / domain_length
     log_r = np.log(rel[rel > 0.0])
@@ -87,7 +91,7 @@ def _solve_delta(part: Partition, domain_length: float,
         delta -= step
         if not lo < delta < hi:
             delta = 0.5 * (lo + hi)
-    residual = abs(pressure_sum(part, delta, domain_length) - 1.0)
+    residual = abs(float(np.exp(delta * log_r).sum()) - 1.0)
     if not residual < tol:
         raise ConvergenceError(
             f"pressure root {delta!r}: residual {residual:.3g} not below {tol:.3g}")

@@ -277,8 +277,9 @@ class GammaPower(_PowerLaw):
     kind = "gamma_power"
 
     def __init__(self, gamma: float):
-        if not gamma > 1.0:
-            raise ParameterRangeError("gamma_power requires gamma > 1")
+        if not (gamma > 1.0 and math.isfinite(gamma)):
+            raise ParameterRangeError(
+                f"gamma_power requires a finite gamma > 1, got {gamma!r}")
         super().__init__(gamma, extra={"gamma": gamma})
 
 
@@ -325,6 +326,9 @@ class Figure6(MapFamily):
         lo, hi = self.C_RANGE
         if not (lo <= c <= hi):
             raise ParameterRangeError(f"figure6: c={c} outside [{lo}, {hi}]")
+        if not isinstance(normalize, bool):
+            raise ParameterRangeError(
+                f"figure6: normalize expects a bool, got {normalize!r}")
         dom = (-1.0, 1.0) if normalize else (-2.0, 2.0)
         super().__init__(gamma=2.0, domain=dom,
                          extra={"c": float(c), "normalized": normalize})

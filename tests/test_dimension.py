@@ -145,6 +145,68 @@ def test_newton_root_raises_above_tolerance():
         _solve_delta(cs.partition(cs.Quadratic(), 0.3, 8), 2.0, tol=0.0)
 
 
+#: (family, eps) whose roots at depths 6-16 are checked against the fsum residual
+RESIDUAL_CASES = [(cs.Quadratic(), 0.1), (cs.GammaPower(3.0), 0.1),
+                  (cs.Tent(), 0.5), (cs.Figure6(-0.03), 0.0)]
+
+
+@pytest.mark.parametrize("family,eps", RESIDUAL_CASES)
+def test_root_residual_matches_the_compensated_sum(family, eps):
+    levels = cs.partition_levels(family, eps, 16)
+    dlen = _domain_length(family)
+    for depth in range(6, 17):
+        delta, residual = _solve_delta(levels[depth], dlen)
+        reference = abs(cs.pressure_sum(levels[depth], delta, dlen) - 1.0)
+        assert abs(residual - reference) < 1e-14
+
+
+def test_root_residual_with_a_zero_cell_matches_the_compensated_sum():
+    for part in _zero_cell_partitions():
+        delta, residual = _solve_delta(part, 2.0)
+        assert abs(residual - abs(cs.pressure_sum(part, delta) - 1.0)) < 1e-14
+
+
+def test_roots_do_not_call_the_compensated_sum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pressure_sum on the root's path")
+
+    monkeypatch.setattr("cantorscale.dimension.pressure_sum", refuse)
+    est = cs.hd_estimate(cs.Quadratic(), 0.1, 10)
+    assert est.residual < 1e-10
+    rows, _slope = cs.hd_curve(cs.Quadratic(), [0.01, 0.1], 10)
+    assert len(rows) == 2
+
+
+def _ratio_root(levels, depth, domain_length, tol=1e-13):
+    """Bisection root of sum_{depth} r^delta = sum_{depth-1} r^delta.
+
+    The ratio of consecutive pressure sums cancels their common
+    distortion constant, so this root converges geometrically in depth.
+    """
+    log_n = np.log(levels[depth].lengths / domain_length)
+    log_m = np.log(levels[depth - 1].lengths / domain_length)
+    lo, hi = 0.0, 1.0       # the difference is > 0 at 0 and < 0 at 1
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if np.exp(mid * log_n).sum() > np.exp(mid * log_m).sum():
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND dimension.py hd_estimate bracket: the depth-n root converges "
+    "like 1/n and its (depth-1, depth) bracket misses the limit "
+    "(ROADMAP item 2)"))
+@pytest.mark.parametrize("eps", [1e-3, 0.05, 0.1])
+def test_hd_estimate_bracket_contains_the_ratio_root(eps):
+    levels = cs.partition_levels(cs.Quadratic(), eps, 16)
+    root = _ratio_root(levels, 16, 2.0)
+    lo, hi = cs.hd_estimate(cs.Quadratic(), eps, 16).bracket
+    assert lo <= root <= hi
+
+
 def test_hd_curve_tent_closed_form():
     grid = [0.1, 0.3, 0.5, 1.0]
     rows, _slope = cs.hd_curve(cs.Tent(), grid, 14)

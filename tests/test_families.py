@@ -431,6 +431,18 @@ def test_make_family_refuses_a_value_of_the_wrong_type(kind, params):
         cs.family_from_spec({"kind": kind, "params": params})
 
 
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_gamma_power_constructor_refuses_what_make_family_refuses(gamma):
+    with pytest.raises(cs.ParameterRangeError):
+        cs.GammaPower(gamma)
+
+
+@pytest.mark.parametrize("normalize", ["no", 1, 0, None, np.True_])
+def test_figure6_constructor_refuses_a_normalize_that_is_not_a_bool(normalize):
+    with pytest.raises(cs.ParameterRangeError, match="normalize"):
+        cs.Figure6(0.01, normalize=normalize)
+
+
 @pytest.mark.parametrize("spec", [
     5, None, "quadratic", ["kind"], {"kind": 5}, {"kind": ["quadratic"]},
     {"kind": "quadratic", "params": {"kind": "tent"}},

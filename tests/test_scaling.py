@@ -20,6 +20,15 @@ def test_tent_scaling_is_exactly_one_third():
         assert est.value == pytest.approx(1 / 3, abs=1e-9)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND scaling.py scale_at on chains that reach LENGTH_FLOOR: the last "
+    "ratios above the floor carry rounding above their error_bound "
+    "(ROADMAP item 3)"))
+def test_tent_one_third_lies_within_the_error_bound_at_the_floor():
+    est = cs.scale_at(cs.Tent(), 1.0, cs.DualPoint((), (1, 0)), 22)
+    assert abs(est.value - 1 / 3) <= est.error_bound
+
+
 def test_request_past_the_floor_keeps_the_last_reliable_ratio():
     # the depth-23 child cylinder is shorter than LENGTH_FLOOR, so a deeper
     # request must stop at depth 22 and keep that ratio
