@@ -122,6 +122,9 @@ class Experiment:
         if self.eps_grid is not None and self.eps_grid != sorted(self.eps_grid):
             raise ConfigError("key 'epsilon_grid': grid must be sorted ascending")
         self.seed = _integer("seed", cfg.get("seed", 0))
+        if self.seed < 0:
+            raise ConfigError(f"key 'seed': expected a non-negative integer, "
+                              f"got {self.seed}")
         self.dual_point_text = cfg.get("dual_point")
         self.n_samples = _integer("samples", cfg.get("samples", 1000))
         self.prefix = cfg.get("output", self.command.replace("-", "_"))

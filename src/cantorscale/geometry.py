@@ -298,7 +298,9 @@ def distortion_suite(family: MapFamily, eps: float, n_samples: int,
                      max_word_len: int = 15, seed: int = 0):
     """Seeded random (word, x, y) distortion checks inside eta_1 cells.
 
-    The samples are drawn one after another and checked in one chain.
+    The samples are drawn as arrays, one RNG call per quantity, and checked
+    in one chain.  A sample whose cell the boundary distance leaves empty,
+    or whose two points coincide, is dropped and not redrawn.
     Returns ``(n_passed, n_total, worst_margin, checks)`` where
     ``worst_margin`` is the smallest rhs/lhs ratio seen.
     """
@@ -309,24 +311,20 @@ def distortion_suite(family: MapFamily, eps: float, n_samples: int,
     constants = _estimate_constants(family, eps, levels)
     lo_ok = np.maximum(levels[1].los, family.domain[0] + MIN_BOUNDARY_DISTANCE)
     hi_ok = np.minimum(levels[1].his, family.domain[1] - MIN_BOUNDARY_DISTANCE)
-    # column n of sides is the word of sample n, innermost branch first
-    sides = np.zeros((max_word_len, n_samples), dtype=np.int64)
-    pairs, steps = np.empty((n_samples, 2)), []
-    for _ in range(n_samples):
-        cell = int(rng.integers(0, len(lo_ok)))
-        if hi_ok[cell] <= lo_ok[cell]:
-            continue
-        n = len(steps)
-        pairs[n] = rng.uniform(lo_ok[cell], hi_ok[cell], size=2)
-        if pairs[n, 0] == pairs[n, 1]:
-            continue
-        steps.append(int(rng.integers(1, max_word_len + 1)))
-        sides[:steps[-1], n] = rng.integers(0, 2, size=steps[-1])[::-1]
-    n = len(steps)
+    cell = rng.integers(0, len(lo_ok), n_samples)
+    lo, hi = lo_ok[cell], hi_ok[cell]
+    # rng.uniform's map of random(), which, unlike uniform, takes the
+    # empty cells that keep drops below
+    x, y = lo + (hi - lo) * rng.random((2, n_samples))
+    steps = rng.integers(1, max_word_len + 1, n_samples)
+    # column i of sides is the word of sample i, innermost branch first
+    sides = rng.integers(0, 2, size=(max_word_len, n_samples))
+    keep = (hi > lo) & (x != y)
+    steps = steps[keep]
     lhs, rhs_orbit, rhs_unif, passed = _distortion(
-        family, eps, sides[:max(steps, default=0), :n], steps, *pairs[:n].T,
-        constants)
+        family, eps, sides[:steps.max(initial=0), keep], steps, x[keep],
+        y[keep], constants)
     worst = np.min(np.minimum(rhs_orbit, rhs_unif) / lhs, initial=math.inf)
-    return (int(np.sum(passed)), n, float(worst),
+    return (int(np.sum(passed)), len(steps), float(worst),
             list(map(DistortionCheck, lhs.tolist(), rhs_orbit.tolist(),
                      rhs_unif.tolist(), passed.tolist())))

@@ -301,6 +301,17 @@ def test_epsilon_outside_the_family_range_exits_1(tmp_path, capsys, cfg):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["distortion-check", "invariants"])
+def test_negative_seed_exits_1(tmp_path, capsys, command):
+    # refused at the config, also by a command that draws nothing
+    cfg = {"command": command, "family": {"kind": "quadratic"},
+           "epsilon": 0.2, "depth": 3, "samples": 5, "seed": -3}
+    assert run_cli(tmp_path, cfg) == 1
+    assert "error: key 'seed': expected a non-negative integer" in (
+        capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_invariants_check_every_word_whatever_the_seed(tmp_path):
     written = []
     for seed in (1, 2):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import cantorscale as cs
-from cantorscale.geometry import (CONSTANT_SAMPLES, MIN_BOUNDARY_DISTANCE,
-                                  GapGeometrySummary, GoodFamilyConstants,
-                                  _holder_constant)
+from cantorscale import geometry
+from cantorscale.geometry import (CONSTANT_SAMPLES, GapGeometrySummary,
+                                  GoodFamilyConstants, _holder_constant)
 from cantorscale.metric import _tilde_deriv_at
 
 
@@ -190,30 +190,44 @@ def _distortion_check_loop(family, eps, word, x, y, constants):
 
 
 def _distortion_suite_loop(family, eps, n_samples, max_word_len=15, seed=0):
-    """Reference: ``distortion_suite`` as one Python chain per sample."""
+    """Reference: ``distortion_suite`` as one Python chain per sample, on the
+    samples drawn by the suite's four RNG calls."""
     rng = np.random.default_rng(seed)
     constants = cs.estimate_constants(family, eps)
     eta1 = cs.partition_levels(family, eps, 1)[1]
+    dlo, dhi = family.domain
+    bound = geometry.MIN_BOUNDARY_DISTANCE
+    cell = rng.integers(0, len(eta1), n_samples)
+    lo_ok = np.maximum(eta1.los[cell], dlo + bound)
+    hi_ok = np.minimum(eta1.his[cell], dhi - bound)
+    xs, ys = lo_ok + (hi_ok - lo_ok) * rng.random((2, n_samples))
+    steps = rng.integers(1, max_word_len + 1, n_samples)
+    sides = rng.integers(0, 2, size=(max_word_len, n_samples))
     n_pass, worst, checks = 0, math.inf, []
-    for _ in range(n_samples):
-        cell = int(rng.integers(0, len(eta1)))
-        lo, hi = float(eta1.los[cell]), float(eta1.his[cell])
-        dlo, dhi = family.domain
-        lo_ok = max(lo, dlo + MIN_BOUNDARY_DISTANCE)
-        hi_ok = min(hi, dhi - MIN_BOUNDARY_DISTANCE)
-        if hi_ok <= lo_ok:
+    for i in range(n_samples):
+        if hi_ok[i] <= lo_ok[i] or xs[i] == ys[i]:
             continue
-        x, y = rng.uniform(lo_ok, hi_ok, size=2)
-        if x == y:
-            continue
-        length = int(rng.integers(1, max_word_len + 1))
-        word = cs.Word(tuple(int(b) for b in rng.integers(0, 2, size=length)))
-        chk = _distortion_check_loop(family, eps, word, float(x), float(y),
-                                     constants)
+        word = cs.Word(tuple(int(b) for b in sides[:steps[i], i][::-1]))
+        chk = _distortion_check_loop(family, eps, word, float(xs[i]),
+                                     float(ys[i]), constants)
         checks.append(chk)
         n_pass += chk.passed
         worst = min(worst, min(chk.rhs_orbit, chk.rhs_uniform) / chk.lhs)
     return n_pass, len(checks), worst, checks
+
+
+def _assert_same_suite(got, ref):
+    passed, total, worst, checks = got
+    ref_passed, ref_total, ref_worst, ref_checks = ref
+    assert (passed, total) == (ref_passed, ref_total)
+    assert [c.passed for c in checks] == [c.passed for c in ref_checks]
+    assert worst == pytest.approx(ref_worst, rel=1e-13)
+    for name in ("lhs", "rhs_orbit", "rhs_uniform"):
+        have = np.asarray([getattr(c, name) for c in checks])
+        want = np.asarray([getattr(c, name) for c in ref_checks])
+        assert np.array_equal(np.isinf(have), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.allclose(have[finite], want[finite], rtol=1e-13, atol=0.0)
 
 
 # the distortion suites of the benchmark and the acceptance seed
@@ -230,19 +244,44 @@ SUITE_CASES = [
     for c in SUITE_CASES])
 def test_distortion_suite_matches_the_per_sample_loop(family, eps, n, max_len,
                                                       seed):
-    passed, total, worst, checks = cs.distortion_suite(family, eps, n, max_len,
-                                                       seed)
-    ref_passed, ref_total, ref_worst, ref = _distortion_suite_loop(
-        family, eps, n, max_len, seed)
-    assert (passed, total) == (ref_passed, ref_total)
-    assert [c.passed for c in checks] == [c.passed for c in ref]
-    assert worst == pytest.approx(ref_worst, rel=1e-13)
-    for name in ("lhs", "rhs_orbit", "rhs_uniform"):
-        got = np.asarray([getattr(c, name) for c in checks])
-        want = np.asarray([getattr(c, name) for c in ref])
-        assert np.array_equal(np.isinf(got), np.isinf(want))
-        finite = np.isfinite(want)
-        assert np.allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+    _assert_same_suite(cs.distortion_suite(family, eps, n, max_len, seed),
+                       _distortion_suite_loop(family, eps, n, max_len, seed))
+
+
+def test_distortion_suite_drops_the_samples_of_an_empty_cell(monkeypatch):
+    # this bound empties the two outer level-1 cells of Quadratic at 0.2;
+    # their samples are dropped, not redrawn
+    monkeypatch.setattr(geometry, "MIN_BOUNDARY_DISTANCE", 0.3)
+    family, eps, n = cs.Quadratic(), 0.2, 100
+    eta1 = cs.partition_levels(family, eps, 1)[1]
+    assert np.sum(np.minimum(eta1.his, 0.7) <= np.maximum(eta1.los, -0.7)) == 2
+    got = cs.distortion_suite(family, eps, n, seed=3)
+    assert 0 < got[1] < n
+    _assert_same_suite(got, _distortion_suite_loop(family, eps, n, seed=3))
+
+
+class _CountedGenerator:
+    """A ``Generator`` that records the name of each method called."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_distortion_suite_draws_in_four_rng_calls(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: _CountedGenerator(default_rng(*a), calls))
+    assert cs.distortion_suite(cs.Quadratic(), 0.2, 300, seed=3)[1] == 300
+    assert 0 < len(calls) <= 4
 
 
 @pytest.mark.parametrize("max_len", [1, 4, 15])
