@@ -119,8 +119,9 @@ class Experiment:
             raise ConfigError(f"key 'epsilon_grid': expected a list, got {grid!r}")
         self.eps_grid = (None if grid is None
                          else [check(_real("epsilon_grid", e)) for e in grid])
-        if self.eps_grid is not None and self.eps_grid != sorted(self.eps_grid):
-            raise ConfigError("key 'epsilon_grid': grid must be sorted ascending")
+        if self.eps_grid is not None and any(
+                b <= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
+            raise ConfigError("key 'epsilon_grid': grid must be strictly increasing")
         self.seed = _integer("seed", cfg.get("seed", 0))
         if self.seed < 0:
             raise ConfigError(f"key 'seed': expected a non-negative integer, "

@@ -6,9 +6,9 @@ The estimator is the root of the normalized Moran/pressure sum
 
 which returns exactly delta = 1 when the cylinders tile the whole
 interval.  The logarithm of the sum is convex and strictly decreasing in
-delta, so Newton's method on it, kept inside a bisection bracket, finds
-the root in a few steps; the cross-depth pair (delta at depth-1, delta
-at depth) brackets the systematic error.  A root reports the residual of
+delta, so Newton's method on it from delta = 1, with no bracket, climbs
+to the root from below in a few steps; the cross-depth pair (delta at
+depth-1, delta at depth) brackets the systematic error.  A root reports the residual of
 its own numpy sum of ``r^delta``; ``pressure_sum`` is the compensated
 reference sum.
 """
@@ -24,8 +24,7 @@ from .branches import Partition, partition_levels
 from .errors import ConvergenceError, DomainError
 from .families import MapFamily
 
-#: Newton stops once a step is this small in delta (ulp(1) is 2.2e-16);
-#: the bisection fallback alone reaches it within 51 steps
+#: Newton stops once a step is this small in delta (ulp(1) is 2.2e-16)
 _STEP_TOL = 1e-15
 _MAX_STEPS = 60
 
@@ -60,37 +59,29 @@ class _Root(tuple):
 
 def _solve_delta(part: Partition, domain_length: float,
                  tol: float = 1e-10) -> tuple[float, float]:
-    """Safeguarded Newton root of F(delta) = log sum r^delta.
+    """Newton root of F(delta) = log sum r^delta, from delta = 1.
 
-    F is convex and decreasing with F(0) = log(cell count) > 0, so a
-    Newton step that leaves the bracket (lo, hi) kept from the signs of F
-    falls back to its midpoint.  The start delta = 1 is the root of a
-    tiling, which then returns exactly 1.0.  Cells of zero length add
-    nothing for delta > 0 and are left out of ``log r``.  The returned
-    residual ``|sum r^delta - 1|`` is the pairwise numpy sum over the same
-    ``log r``, within about log2(cells) ulps of the compensated
-    ``pressure_sum`` one, and must be < ``tol``.
+    F is convex and decreasing, so after the first step every Newton
+    iterate lies at or left of the root and climbs to it without
+    overshooting; a step below 0, where F(0) = log(cell count) > 0, is
+    clamped to 0.  The start delta = 1 is the root of a tiling, which then
+    returns exactly 1.0.  Cells of zero length add nothing for delta > 0
+    and are left out of ``log r``.  The returned residual ``|sum r^delta -
+    1|`` is the pairwise numpy sum over the same ``log r``, within about
+    log2(cells) ulps of the compensated ``pressure_sum`` one, and must be
+    < ``tol``.
     """
     rel = part.lengths / domain_length
     log_r = np.log(rel[rel > 0.0])
-    lo, hi = 0.0, 2.0
     delta = 1.0
     for iterations in range(1, _MAX_STEPS + 1):
         powers = np.exp(delta * log_r)
         s = powers.sum()
-        if s > 1.0:
-            lo = delta
-        else:
-            hi = delta
         # F / F' = log S / (S' / S), with S' = sum r^delta log r
         step = math.log(s) * s / (powers @ log_r)
-        if abs(step) <= _STEP_TOL or hi - lo <= _STEP_TOL:
-            if lo <= delta - step <= hi:
-                delta -= step
+        delta = max(delta - step, 0.0)
+        if abs(step) <= _STEP_TOL:
             break
-        delta -= step
-        if not lo < delta < hi:
-            delta = 0.5 * (lo + hi)
     residual = abs(float(np.exp(delta * log_r).sum()) - 1.0)
     if not residual < tol:
         raise ConvergenceError(
@@ -122,6 +113,8 @@ def hd_curve(family: MapFamily, eps_grid, depth: int):
     eps_list = sorted(float(e) for e in eps_grid)
     if any(e <= 0 for e in eps_list):
         raise DomainError("hd_curve requires positive eps")
+    if len(set(eps_list)) < 2:
+        raise DomainError("hd_curve needs at least two distinct eps")
     ests = [hd_estimate(family, e, depth) for e in eps_list]
     defect = np.asarray([max(1.0 - est.delta, 1e-300) for est in ests])
     slope = float(np.polyfit(np.log(eps_list), np.log(defect), 1)[0])
@@ -133,6 +126,8 @@ def delta0(eps: float, C6: float) -> float:
 
     Satisfies 2 ((1 - C6 sqrt(eps)) / 2)^delta0 = 1 exactly.
     """
+    if eps < 0.0:
+        raise DomainError("delta0 requires eps >= 0")
     t = C6 * math.sqrt(eps)
     if not t < 1.0:
         raise DomainError("delta0 requires C6 * sqrt(eps) < 1")

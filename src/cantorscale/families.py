@@ -22,13 +22,13 @@ Built-in presets:
 
 All evaluation methods accept scalars or numpy arrays.
 
-Every preset inverts its two branches in closed form.  The power-law
-presets (quadratic, gamma_power, tent) take the ``gamma``-th root of
-``(1 + eps - y) / (2 + eps)``.  Figure6 and asym_quadratic are quadratics
-in ``u = x^2``, ``A u^2 + B u = C`` with ``C`` the critical value minus
-``y``, and take the cancellation-free root ``u = 2C / (B + sqrt(B^2 +
-4AC))``, then ``x = -sqrt(u)`` on the left branch and ``+sqrt(u)`` on the
-right.
+The presets come in two shapes, each written once as a private base.  The
+power-law presets (quadratic, gamma_power, tent) are ``1 + eps - (2 + eps)
+|x|^gamma`` and invert by the ``gamma``-th root of ``(1 + eps - y) / (2 +
+eps)``.  Figure6 and asym_quadratic are the even quartic ``crit - k x^2 -
+m x^4`` with a table of ``(crit, k, m)`` per side; a preimage solves ``m
+u^2 + k u = crit - y`` in ``u = x^2`` by the cancellation-free root, then
+``x = -sqrt(u)`` on the left branch and ``+sqrt(u)`` on the right.
 """
 
 from __future__ import annotations
@@ -148,8 +148,7 @@ class MapFamily:
 
         Every preset inverts in closed form.  The power-law presets take a
         root of ``(crit - y) / (2 + eps)``; Figure6 and AsymQuadratic are
-        quadratics in ``u = x^2`` and use the cancellation-free root of
-        ``_even_quartic_root``.  Vectorized over y.
+        quadratics in ``u = x^2`` (see ``_EvenQuartic``).  Vectorized over y.
         """
         eps = self.check_param(eps)
         self.check_domain(y)
@@ -160,24 +159,6 @@ class MapFamily:
 
     def _inverse(self, eps: float, side: int, y):
         raise NotImplementedError
-
-    def _even_quartic_root(self, side: int, y, a, b, crit):
-        """Side-``side`` preimage of y when ``f(x) = y`` reads ``a u^2 + b u = c``.
-
-        Here ``u = x^2``, ``c = crit - y`` for the critical value ``crit``
-        and ``b > 0``.  The root ``u = 2c / (b + sqrt(b^2 + 4ac))`` has no
-        cancellation for either sign of ``a`` (Higham, Accuracy and
-        Stability of Numerical Algorithms, sec. 1.8).  ``c`` is clamped at
-        0, where the preimage is the critical point exactly; ``y = lo``
-        returns the domain endpoint exactly, so nested cylinders telescope
-        bit-for-bit.
-        """
-        y = np.asarray(y, dtype=float)
-        c = np.maximum(crit - y, 0.0)
-        t = np.sqrt(2.0 * c / (b + np.sqrt(b * b + 4.0 * a * c)))
-        x = np.where(c == 0.0, 0.0, -t if side == 0 else t)
-        dlo, dhi = self.domain
-        return np.where(y == dlo, dlo if side == 0 else dhi, x)
 
     # -- diagnostics ------------------------------------------------------
 
@@ -308,14 +289,65 @@ class Tent(_PowerLaw):
         return True
 
 
-class Figure6(MapFamily):
+class _EvenQuartic(MapFamily):
+    """f_eps(x) = crit - k x^2 - m x^4 with ``(crit, k, m)`` of the side of x.
+
+    ``x <= 0`` reads the side-0 coefficients, ``x > 0`` the side-1 ones;
+    subclasses give them as ``_coeffs(eps, side) -> (crit, k, m)``.  A
+    preimage solves ``m u^2 + k u = crit - y`` in ``u = x^2`` with k > 0.
+    """
+
+    def _coeffs(self, eps: float, side: int) -> tuple[float, float, float]:
+        raise NotImplementedError
+
+    def _side_coeffs(self, eps, x):
+        crit, k0, m0 = self._coeffs(eps, 0)
+        _, k1, m1 = self._coeffs(eps, 1)
+        if (k0, m0) == (k1, m1):
+            return crit, k0, m0
+        # the 0/1 view of the bool array indexes the two sides' values,
+        # at half the cost of np.where on scalars
+        side = (x > 0.0).view(np.uint8)
+        return crit, np.array((k0, k1))[side], np.array((m0, m1))[side]
+
+    def _eval_raw(self, eps, x):
+        x = np.asarray(x, dtype=float)
+        crit, k, m = self._side_coeffs(eps, x)
+        x2 = x * x
+        return crit - k * x2 - m * x2 * x2
+
+    def _deriv_raw(self, eps, x):
+        x = np.asarray(x, dtype=float)
+        _, k, m = self._side_coeffs(eps, x)
+        return -2.0 * k * x - 4.0 * m * x ** 3
+
+    def _inverse(self, eps, side, y):
+        """The root ``u = 2c / (k + sqrt(k^2 + 4mc))`` of ``m u^2 + k u = c``.
+
+        Here ``c = crit - y``; the root has no cancellation for either
+        sign of ``m`` (Higham, Accuracy and Stability of Numerical
+        Algorithms, sec. 1.8).  ``c`` is clamped at 0, where the preimage
+        is the critical point exactly; ``y = lo`` returns the domain
+        endpoint exactly, so nested cylinders telescope bit-for-bit.
+        """
+        crit, k, m = self._coeffs(eps, side)
+        y = np.asarray(y, dtype=float)
+        c = np.maximum(crit - y, 0.0)
+        t = np.sqrt(2.0 * c / (k + np.sqrt(k * k + 4.0 * m * c)))
+        x = np.where(c == 0.0, 0.0, -t if side == 0 else t)
+        dlo, dhi = self.domain
+        return np.where(y == dlo, dlo if side == 0 else dhi, x)
+
+
+class Figure6(_EvenQuartic):
     """The quartic family f_c(x) = -x^2 + 2 + c x^2 (4 - x^2) on [-2, 2].
 
     The critical value equals the right endpoint value for every ``c``
     (eps = 0 identically); ``c`` is the shape parameter.  By default the
-    family is affinely rescaled to [-1, 1], which leaves every ratio
-    quantity invariant; pass ``normalize=False`` to work on the raw
-    domain (used by the conjugation-invariance tests).
+    family is affinely rescaled to [-1, 1] as ``(1/2) f_c(2x) = 1 - (2 -
+    8c) x^2 - 8c x^4``, which leaves every ratio quantity invariant; pass
+    ``normalize=False`` to work on the raw domain, ``2 - (1 - 4c) x^2 -
+    c x^4`` (used by the conjugation-invariance tests).
     """
 
     kind = "figure6"
@@ -329,38 +361,19 @@ class Figure6(MapFamily):
         if not isinstance(normalize, bool):
             raise ParameterRangeError(
                 f"figure6: normalize expects a bool, got {normalize!r}")
+        c = float(c)
         dom = (-1.0, 1.0) if normalize else (-2.0, 2.0)
         super().__init__(gamma=2.0, domain=dom,
-                         extra={"c": float(c), "normalized": normalize})
-        self.c = float(c)
-        self.normalized = normalize
+                         extra={"c": c, "normalized": normalize})
+        self.c, self.normalized = c, normalize
+        self._quartic = ((1.0, 2.0 - 8.0 * c, 8.0 * c) if normalize
+                         else (2.0, 1.0 - 4.0 * c, c))
 
-    def _eval_raw(self, eps, x):
-        x = np.asarray(x, dtype=float)
-        c = self.c
-        x2 = x * x
-        if self.normalized:
-            # (1/2) f_c(2x):  1 - 2 x^2 + 8 c x^2 (1 - x^2)
-            return 1.0 - 2.0 * x2 + 8.0 * c * x2 * (1.0 - x2)
-        return -x2 + 2.0 + c * x2 * (4.0 - x2)
-
-    def _deriv_raw(self, eps, x):
-        x = np.asarray(x, dtype=float)
-        c = self.c
-        if self.normalized:
-            return -4.0 * x + 16.0 * c * x * (1.0 - 2.0 * x * x)
-        return -2.0 * x + c * (8.0 * x - 4.0 * x ** 3)
-
-    def _inverse(self, eps, side, y):
-        c = self.c
-        if self.normalized:
-            # 8c u^2 + (2 - 8c) u = 1 - y
-            return self._even_quartic_root(side, y, 8.0 * c, 2.0 - 8.0 * c, 1.0)
-        # c u^2 + (1 - 4c) u = 2 - y
-        return self._even_quartic_root(side, y, c, 1.0 - 4.0 * c, 2.0)
+    def _coeffs(self, eps, side):
+        return self._quartic
 
 
-class AsymQuadratic(MapFamily):
+class AsymQuadratic(_EvenQuartic):
     """A quartic-corrected quadratic with asymmetric power law at 0.
 
     On each side the map is ``1 + eps - k x^2 - (2 + eps - k) x^4`` with
@@ -382,28 +395,9 @@ class AsymQuadratic(MapFamily):
                          extra={"beta": float(beta)})
         self.beta = float(beta)
 
-    def _coeffs(self, eps):
-        a = (2.0 + eps) * (1.0 + self.beta)
-        b = (2.0 + eps) * (1.0 - self.beta)
-        return a, b
-
-    def _eval_raw(self, eps, x):
-        x = np.asarray(x, dtype=float)
-        a, b = self._coeffs(eps)
-        k = np.where(x <= 0.0, a, b)
-        x2 = x * x
-        return 1.0 + eps - k * x2 - (2.0 + eps - k) * x2 * x2
-
-    def _deriv_raw(self, eps, x):
-        x = np.asarray(x, dtype=float)
-        a, b = self._coeffs(eps)
-        k = np.where(x <= 0.0, a, b)
-        return -2.0 * k * x - 4.0 * (2.0 + eps - k) * x ** 3
-
-    def _inverse(self, eps, side, y):
-        # (2 + eps - k) u^2 + k u = 1 + eps - y, with k of the side
-        k = self._coeffs(eps)[side]
-        return self._even_quartic_root(side, y, 2.0 + eps - k, k, 1.0 + eps)
+    def _coeffs(self, eps, side):
+        k = (2.0 + eps) * (1.0 + self.beta if side == 0 else 1.0 - self.beta)
+        return 1.0 + eps, k, 2.0 + eps - k
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,8 @@ def asymptotic_gap_fit(family: MapFamily, eps_grid, depth: int = 0) -> GapFit:
     eps_list = sorted(float(e) for e in eps_grid)
     if any(e <= 0 for e in eps_list):
         raise DomainError("asymptotic_gap_fit requires positive eps")
+    if len(set(eps_list)) < 2:
+        raise DomainError("asymptotic_gap_fit needs at least two distinct eps")
     leading, gmax, gmin = [], [], []
     for e in eps_list:
         leading.append(gap(family, e, None).gap_ratio)

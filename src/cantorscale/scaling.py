@@ -165,7 +165,9 @@ def scaling_convergence(family: MapFamily, eps_grid, sample_points, depth: int):
     Returns ``[(eps, sup |s_eps - s_eps1|)]`` for every eps in the grid,
     with ``eps1 = eps_grid[0]``.
     """
-    eps_grid = list(eps_grid)
+    eps_grid, sample_points = list(eps_grid), list(sample_points)
+    if not sample_points:
+        raise DomainError("scaling_convergence needs at least one sample point")
     vals = [np.asarray([scale_at(family, eps, a, depth).value
                         for a in sample_points]) for eps in eps_grid]
     return [(eps, float(np.max(np.abs(v - vals[0]))))
@@ -178,10 +180,14 @@ def holder_fit(family: MapFamily, eps: float, n_pairs: int, depth: int,
 
     For each n the upper envelope max |delta s| over the sampled pairs is
     fitted by least squares in log scale.  Returns the degenerate flag when
-    all deltas vanish (constant scaling function).
+    all deltas vanish (constant scaling function).  The fit takes n = 2 ..
+    depth - 3, so it needs ``depth >= 6`` for two n, and ``n_pairs >= 1``.
     """
+    if depth < 6 or n_pairs < 1:
+        raise DomainError(f"holder_fit needs depth >= 6 and n_pairs >= 1, "
+                          f"got depth={depth}, n_pairs={n_pairs}")
     rng = np.random.default_rng(seed)
-    ns = list(range(2, max(depth - 2, 3)))
+    ns = list(range(2, depth - 2))
     env = []
     for n in ns:
         worst = 0.0

@@ -3,15 +3,15 @@
 A ``Code`` is a right-extending sequence ``(.i0 i1 i2 ...)`` of phase-space
 symbols; a ``DualPoint`` is a left-extending sequence ``(... i2 i1 i0.)``
 of history symbols.  Both are represented finitely by an explicit block of
-coordinates plus a tail descriptor:
+coordinates plus the ``period`` of the tail after it:
 
-* ``zeros``            -- the remaining coordinates are all 0,
-* ``periodic(q)``      -- the remaining coordinates repeat the block ``q``,
-* ``truncated``        -- nothing is known past the explicit block.
+* ``(0,)``  -- the remaining coordinates are all 0 (tail ``"zeros"``),
+* ``q``     -- the remaining coordinates repeat the block ``q``,
+* ``()``    -- nothing is known past the explicit block (``"truncated"``).
 
-Dual points are classified A (coordinates eventually all zeros) or B
-(everything else); the limiting scaling function of a map on the boundary
-of hyperbolicity jumps exactly on the A points.
+Dual points are classified A (period ``(0,)``) or B (everything else); the
+limiting scaling function of a map on the boundary of hyperbolicity jumps
+exactly on the A points.
 
 Coordinate order: index 0 is always ``i0``, the coordinate adjacent to the
 point.  For a periodic tail the block ``q`` is given in the same order:
@@ -27,36 +27,32 @@ ZEROS = "zeros"
 TRUNCATED = "truncated"
 
 
-def _parse_tail(tail):
-    """Normalize a tail descriptor; all-zero periods collapse to ``zeros``."""
+def _parse_tail(tail) -> tuple[int, ...]:
+    """The period of a tail descriptor; all-zero periods collapse to ``(0,)``."""
     if tail in (ZEROS, TRUNCATED):
-        return tail, ()
+        return (0,) if tail == ZEROS else ()
     if isinstance(tail, (tuple, list)):
         q = tuple(int(b) for b in tail)
         if not q or any(b not in (0, 1) for b in q):
             raise ValueError(f"bad periodic tail {tail!r}")
-        if not any(q):
-            return ZEROS, ()
-        return "periodic", q
+        return q if any(q) else (0,)
     raise ValueError(f"bad tail descriptor {tail!r}")
 
 
 class _SymbolSequence:
-    """Shared finite representation: explicit coordinates + tail."""
+    """Shared finite representation: explicit coordinates + tail period."""
 
     def __init__(self, coords, tail=ZEROS):
         self.coords = tuple(int(b) for b in coords)
         if any(b not in (0, 1) for b in self.coords):
             raise ValueError("coordinates must be 0 or 1")
-        self.tail, self.period = _parse_tail(tail)
+        self.period = _parse_tail(tail)
 
     def coord(self, k: int) -> int:
         """The k-th coordinate, expanding the tail as needed."""
         if k < len(self.coords):
             return self.coords[k]
-        if self.tail == ZEROS:
-            return 0
-        if self.tail == TRUNCATED:
+        if not self.period:
             raise IndexError(
                 f"coordinate {k} beyond truncation depth {len(self.coords)}")
         return self.period[(k - len(self.coords)) % len(self.period)]
@@ -64,21 +60,18 @@ class _SymbolSequence:
     def shift(self):
         """Drop i0: the one-sided shift of a code, sigma* of a dual point."""
         if self.coords:
-            return type(self)(self.coords[1:], self.tail if self.tail != "periodic"
-                              else self.period)
-        if self.tail == ZEROS:
-            return type(self)((), ZEROS)
-        if self.tail == "periodic":
-            return type(self)((), self.period[1:] + self.period[:1])
-        raise IndexError("cannot shift an exhausted truncated sequence")
+            return type(self)(self.coords[1:], self.period or TRUNCATED)
+        if not self.period:
+            raise IndexError("cannot shift an exhausted truncated sequence")
+        return type(self)((), self.period[1:] + self.period[:1])
 
     @property
     def available(self) -> int | None:
         """Number of defined coordinates; None when unbounded."""
-        return len(self.coords) if self.tail == TRUNCATED else None
+        return None if self.period else len(self.coords)
 
     def _key(self):
-        return (type(self), self.coords, self.tail, self.period)
+        return (type(self), self.coords, self.period)
 
     def __eq__(self, other):
         return isinstance(other, _SymbolSequence) and self._key() == other._key()
@@ -96,9 +89,9 @@ class Code(_SymbolSequence):
 
     def __str__(self) -> str:
         head = "." + "".join(str(b) for b in self.coords)
-        if self.tail == ZEROS:
+        if self.period == (0,):
             return head + "|0^inf"
-        if self.tail == TRUNCATED:
+        if not self.period:
             return head + "|?"
         return head + "|(" + "".join(str(b) for b in self.period) + ")^inf"
 
@@ -109,7 +102,7 @@ class DualPoint(_SymbolSequence):
     @property
     def klass(self) -> str:
         """'A' when the coordinates are eventually all zeros, else 'B'."""
-        return "A" if self.tail == ZEROS else "B"
+        return "A" if self.period == (0,) else "B"
 
     def approximants(self, n: int) -> Word:
         """The word ``w_n i`` made of the first n+1 coordinates, i0 rightmost."""
@@ -117,9 +110,9 @@ class DualPoint(_SymbolSequence):
 
     def __str__(self) -> str:
         suffix = "".join(str(b) for b in reversed(self.coords)) + "."
-        if self.tail == ZEROS:
+        if self.period == (0,):
             return "0^inf|" + suffix
-        if self.tail == TRUNCATED:
+        if not self.period:
             return "?|" + suffix
         return "(" + "".join(str(b) for b in reversed(self.period)) + ")^inf|" + suffix
 

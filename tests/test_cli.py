@@ -350,6 +350,21 @@ def test_unsorted_grid_rejected(tmp_path):
                               "epsilon_grid": [0.1, 0.01]}) == 1
 
 
+@pytest.mark.parametrize("command,grid,message", [
+    ("gap-fit", [0.1], "two distinct eps"),
+    ("dimension-curve", [0.1], "two distinct eps"),
+    ("dimension-curve", [0.1, 0.1], "strictly increasing"),
+    ("gap-fit", [0.01, 0.1, 0.1], "strictly increasing"),
+])
+def test_grid_without_two_distinct_eps_exits_1(tmp_path, capsys, command,
+                                               grid, message):
+    assert run_cli(tmp_path, {"command": command,
+                              "family": {"kind": "quadratic"},
+                              "epsilon_grid": grid, "depth": 8}) == 1
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("family", [
     5, ["kind"], None, {"kind": "quadratic", "gamma": 3.0},
     {"kind": "tent", "params": {"gamma": 3.0}},

@@ -252,6 +252,17 @@ def test_delta0_limit():
     assert cs.delta0(0.0, 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_delta0_refuses_negative_eps():
+    with pytest.raises(cs.DomainError, match="eps >= 0"):
+        cs.delta0(-1e-3, 0.5)
+
+
+@pytest.mark.parametrize("grid", [[0.1], [0.1, 0.1]])
+def test_hd_curve_needs_two_distinct_eps(grid):
+    with pytest.raises(cs.DomainError, match="two distinct eps"):
+        cs.hd_curve(cs.Quadratic(), grid, 8)
+
+
 def test_zero_run_examples():
     assert cs.zero_run_count(2) == 4
     assert cs.zero_run_count(4) == 13

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cantorscale as cs
 
@@ -451,3 +453,42 @@ def test_figure6_constructor_refuses_a_normalize_that_is_not_a_bool(normalize):
 def test_spec_that_is_not_a_map_of_a_kind_is_refused(spec):
     with pytest.raises(cs.ParameterRangeError):
         cs.family_from_spec(spec)
+
+
+#: the params each preset kind is drawn with
+PARAM_STRATEGIES = {
+    "quadratic": {},
+    "gamma_power": {"gamma": st.floats(1.05, 4.0)},
+    "figure6": {"c": st.floats(-0.06, 0.06), "normalize": st.booleans()},
+    "tent": {},
+    "asym_quadratic": {"beta": st.floats(-0.95, 0.95)},
+}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(PARAM_STRATEGIES)), data=st.data(),
+       mag=st.floats(0.01, 1.0), side=st.integers(0, 1))
+def test_inverse_of_eval_round_trip_on_random_presets(kind, data, mag, side):
+    family = cs.make_family(kind, **{name: data.draw(s, label=name) for name, s
+                                     in PARAM_STRATEGIES[kind].items()})
+    eps = data.draw(st.floats(*family.param_range), label="eps")
+    dhi = family.domain[1]
+    x = (mag if side else -mag) * dhi
+    y = family.eval(eps, x)
+    # for eps > 0 the top of the range lies outside the domain
+    assume(y <= dhi)
+    back = family.inverse_branch(eps, side, y)
+    # a rounding of f(x) moves the preimage by about ulp / |f'(x)|
+    assert abs(back - x) <= 1e-14 + 4e-16 * dhi / abs(family.deriv(eps, x))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(c=st.floats(-0.06, 0.06), x=st.floats(-1.0, 1.0), side=st.integers(0, 1))
+def test_raw_figure6_is_the_exact_conjugate_of_the_normalised_one(c, x, side):
+    # raw f(X) = 2 g(X / 2) for the normalised g, so f(2x) = 2 g(x),
+    # g^-1 = f^-1(2 .) / 2 and f'(2x) = g'(x)
+    norm, raw = cs.Figure6(c), cs.Figure6(c, normalize=False)
+    assert raw.eval(0.0, 2.0 * x) == 2.0 * norm.eval(0.0, x)
+    assert raw.inverse_branch(0.0, side, 2.0 * x) == 2.0 * norm.inverse_branch(0.0, side, x)
+    d = norm.deriv(0.0, x)
+    assert abs(raw.deriv(0.0, 2.0 * x) - d) <= np.spacing(abs(d))

@@ -466,3 +466,9 @@ def test_estimate_constants_calls_deriv_twice(family, monkeypatch):
     monkeypatch.setattr(cs.MapFamily, "deriv", counted)
     cs.estimate_constants(family, 0.2)
     assert calls == [(2, CONSTANT_SAMPLES), (2, CONSTANT_SAMPLES)]
+
+
+@pytest.mark.parametrize("grid", [[0.1], [0.1, 0.1]])
+def test_gap_fit_needs_two_distinct_eps(grid):
+    with pytest.raises(cs.DomainError, match="two distinct eps"):
+        cs.asymptotic_gap_fit(cs.Quadratic(), grid, depth=2)

@@ -121,9 +121,22 @@ def test_scaling_convergence_examples():
         assert dist == pytest.approx(abs(1 / (2 + eps) - 1 / 2.1), abs=1e-12)
 
 
+def test_scaling_convergence_needs_a_sample_point():
+    with pytest.raises(cs.DomainError, match="sample point"):
+        cs.scaling_convergence(cs.Quadratic(), [0.1, 0.2], [], 12)
+
+
+@pytest.mark.parametrize("n_pairs,depth", [(5, 5), (5, 3), (0, 12)])
+def test_holder_fit_refuses_a_fit_from_one_n_or_no_pair(n_pairs, depth):
+    with pytest.raises(cs.DomainError, match="holder_fit needs"):
+        cs.holder_fit(cs.Quadratic(), 0.5, n_pairs, depth)
+
+
 def test_holder_fit():
     degenerate = cs.holder_fit(cs.Tent(), 0.5, 10, 12)
     assert degenerate.degenerate and degenerate.C == 0.0
+    # depth 6 is the least depth that fits two n
+    assert cs.holder_fit(cs.Tent(), 0.5, 1, 6).degenerate
 
     fit = cs.holder_fit(cs.Quadratic(), 0.5, 25, 14, seed=1)
     assert not fit.degenerate

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cantorscale as cs
 
@@ -101,3 +103,23 @@ def test_shift_keeps_the_type_and_rotates_the_period(cls):
     assert p.shift().shift().shift() == p
     with pytest.raises(IndexError):
         cls((), "truncated").shift()
+
+
+BITS = st.lists(st.integers(0, 1), max_size=8)
+DUAL_POINTS = st.builds(cs.DualPoint, BITS, st.one_of(
+    st.just("zeros"), st.just("truncated"),
+    st.lists(st.integers(0, 1), min_size=1, max_size=5)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(a=DUAL_POINTS)
+def test_dual_point_render_parse_and_shift(a):
+    assert cs.parse_dual_point(str(a)) == a
+    if a.available == 0:
+        with pytest.raises(IndexError):
+            cs.shift_dual(a)
+        return
+    b = cs.shift_dual(a)
+    n = 12 if a.available is None else a.available - 1
+    assert [b.coord(k) for k in range(n)] == [a.coord(k + 1) for k in range(n)]
+    assert b.klass == a.klass
