@@ -71,21 +71,25 @@ def apply_branches(family: MapFamily, eps: float, sides,
 
     A step is one side for all points, or a row of one side per point
     (``sides`` of shape ``(steps, n)`` for points of shape ``(n, ...)``,
-    broadcast over the trailing axes), which splits the points by side.
+    broadcast over the trailing axes), picked by ``np.where``.  Only the
+    first step is the checked ``inverse_branch``: a branch maps the domain
+    into itself, so later steps run the unchecked ``_inverse``.
     """
+    if per_point := np.ndim(sides) == 2:
+        sides = np.asarray(sides)
+        if not np.all((sides == 0) | (sides == 1)):
+            raise ValueError(f"sides must be 0 or 1, got {np.ravel(sides)}")
+        sides = np.reshape(sides, sides.shape + (1,) * (np.ndim(points) - 1))
+    elif bad := [side for side in sides if side not in (0, 1)]:
+        raise ValueError(f"side must be 0 or 1, got {bad[0]}")
     rows = np.empty((len(sides) + 1,) + np.shape(points))
     rows[0] = points
+    inverse = family.inverse_branch
     for k, side in enumerate(sides):
-        if np.ndim(side) == 0:
-            rows[k + 1] = family.inverse_branch(eps, side, rows[k])
-            continue
-        side = np.broadcast_to(np.reshape(side, (-1,) + (1,) * (rows.ndim - 2)),
-                               rows.shape[1:])
-        if not np.all((side == 0) | (side == 1)):
-            raise ValueError(f"sides must be 0 or 1, got {np.ravel(side)}")
-        for s in (0, 1):
-            sel = side == s
-            rows[k + 1][sel] = family.inverse_branch(eps, s, rows[k][sel])
+        rows[k + 1] = (np.where(side, inverse(eps, 1, rows[k]),
+                                inverse(eps, 0, rows[k]))
+                       if per_point else inverse(eps, side, rows[k]))
+        inverse, eps = family._inverse, float(eps)  # as check_param returns it
     return rows
 
 
@@ -128,16 +132,6 @@ class Partition:
         return Word(bits)
 
 
-def _refine(family: MapFamily, eps: float,
-            los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # prepend one outermost branch: level-(n+1) cylinders are g_b(I_w)
-    lo0 = family.inverse_branch(eps, 0, los)
-    hi0 = family.inverse_branch(eps, 0, his)
-    lo1 = family.inverse_branch(eps, 1, his)
-    hi1 = family.inverse_branch(eps, 1, los)
-    return np.concatenate([lo0, lo1]), np.concatenate([hi0, hi1])
-
-
 def partition_levels(family: MapFamily, eps: float, n: int) -> list[Partition]:
     """Partitions for every depth 0..n, built one branch application per level."""
     if n < 0:
@@ -149,9 +143,14 @@ def partition_levels(family: MapFamily, eps: float, n: int) -> list[Partition]:
     dlo, dhi = family.domain
     los = np.asarray([dlo])
     his = np.asarray([dhi])
+    # eps is checked and the ends start at the domain's, which the branches
+    # map into itself, so the refinement runs the unchecked inverse
+    inverse = family._inverse
     levels = []
     for depth in range(n + 1):
-        los, his = _refine(family, eps, los, his)
+        # prepend one outermost branch: level-(n+1) cylinders are g_b(I_w)
+        los, his = (np.concatenate([inverse(eps, 0, los), inverse(eps, 1, his)]),
+                    np.concatenate([inverse(eps, 0, his), inverse(eps, 1, los)]))
         levels.append(Partition(depth, los, his))
     return levels
 

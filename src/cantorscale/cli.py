@@ -57,7 +57,13 @@ def _fmt(x) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    # numpy scalars are written as the Python numbers they hold
+    # numpy scalars are written as the Python numbers they hold; NaN and inf
+    # are not JSON, so a field that holds one fails the run, by name
+    for key, value in payload.items():
+        try:
+            json.dumps(value, allow_nan=False, default=lambda obj: obj.item())
+        except ValueError:
+            raise ConvergenceError(f"field {key!r} is not finite") from None
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                default=lambda obj: obj.item()) + "\n")
 

@@ -146,9 +146,9 @@ class MapFamily:
     def inverse_branch(self, eps: float, side: int, y):
         """The unique preimage of y on [lo, 0] (side 0) or [0, hi] (side 1).
 
-        Every preset inverts in closed form.  The power-law presets take a
-        root of ``(crit - y) / (2 + eps)``; Figure6 and AsymQuadratic are
-        quadratics in ``u = x^2`` (see ``_EvenQuartic``).  Vectorized over y.
+        Checks eps, y and side; a chain takes only its first step here and
+        then runs the closed-form ``_inverse``: a root of ``(crit - y) / (2 +
+        eps)`` for the power laws, a quadratic in ``u = x^2`` for the quartics.
         """
         eps = self.check_param(eps)
         self.check_domain(y)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .branches import (Word, apply_branches, cylinder, decay_rate,
                        partition_levels)
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .families import MapFamily
 
 #: pairs closer to the boundary than this are excluded from distortion
@@ -140,7 +140,8 @@ def asymptotic_gap_fit(family: MapFamily, eps_grid, depth: int = 0) -> GapFit:
     The headline slope is fitted on the leading-gap ratio; with
     ``depth >= 1`` the max and min gap ratios over all words of length
     <= depth are fitted as well.  The band is the spread of
-    ``leading_ratio / eps^(1/gamma)`` over the grid.
+    ``leading_ratio / eps^(1/gamma)`` over the grid.  An eps whose leading
+    gap ratio rounds to 0 raises ``ConvergenceError``.
     """
     eps_list = sorted(float(e) for e in eps_grid)
     if any(e <= 0 for e in eps_list):
@@ -150,6 +151,8 @@ def asymptotic_gap_fit(family: MapFamily, eps_grid, depth: int = 0) -> GapFit:
     leading, gmax, gmin = [], [], []
     for e in eps_list:
         leading.append(gap(family, e, None).gap_ratio)
+        if not leading[-1] > 0:   # its log would be -inf
+            raise ConvergenceError(f"leading gap ratio rounds to 0 at eps={e}")
         if depth >= 1:
             summ = gap_geometry(family, e, depth)
             gmax.append(summ.max_gap_ratio)
@@ -168,8 +171,8 @@ def asymptotic_gap_fit(family: MapFamily, eps_grid, depth: int = 0) -> GapFit:
 
 def _holder_constant(xs: np.ndarray, vals: np.ndarray, alpha: float) -> float:
     """Max difference quotient |v(x)-v(y)| / |x-y|^alpha over grid pairs."""
-    d = np.abs(np.subtract.outer(vals, vals))
-    h = np.abs(np.subtract.outer(xs, xs)) ** alpha
+    i, j = np.triu_indices(len(xs), 1)   # |v(x)-v(y)| is |v(y)-v(x)| bit for bit
+    d, h = np.abs(vals[i] - vals[j]), np.abs(xs[i] - xs[j]) ** alpha
     mask = h > 0
     return float(np.max(d[mask] / h[mask])) if np.any(mask) else 0.0
 

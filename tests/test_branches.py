@@ -231,6 +231,129 @@ def test_apply_branches_per_point_sides_match_the_columns(family, data, steps, n
         assert np.array_equal(rows[:, i], column)
 
 
+def _checked_chain(family, eps, sides, points):
+    """Reference: ``apply_branches`` with a checked ``inverse_branch`` at
+    every step and per-point sides split by boolean masks."""
+    rows = [np.asarray(points, dtype=float)]
+    for side in sides:
+        row = rows[-1]
+        if np.ndim(side) == 0:
+            rows.append(np.asarray(family.inverse_branch(eps, side, row)))
+            continue
+        side = np.broadcast_to(np.reshape(side, (-1,) + (1,) * (row.ndim - 1)),
+                               row.shape)
+        step = np.empty_like(row)
+        for s in (0, 1):
+            step[side == s] = family.inverse_branch(eps, s, row[side == s])
+        rows.append(step)
+    return np.stack(rows)
+
+
+def _checked_levels(family, eps, n):
+    """Reference: ``partition_levels`` with a checked ``inverse_branch``."""
+    los, his = np.asarray([family.domain[0]]), np.asarray([family.domain[1]])
+    inverse = family.inverse_branch
+    for _ in range(n + 1):
+        los, his = (np.concatenate([inverse(eps, 0, los), inverse(eps, 1, his)]),
+                    np.concatenate([inverse(eps, 0, his), inverse(eps, 1, los)]))
+        yield los, his
+
+
+_preset_params = st.one_of(
+    st.tuples(st.just("quadratic"), st.just({})),
+    st.tuples(st.just("tent"), st.just({})),
+    st.tuples(st.just("gamma_power"), st.fixed_dictionaries(
+        {"gamma": st.floats(1.05, 5.0)})),
+    st.tuples(st.just("figure6"), st.fixed_dictionaries(
+        {"c": st.floats(-0.06, 0.06), "normalize": st.booleans()})),
+    st.tuples(st.just("asym_quadratic"), st.fixed_dictionaries(
+        {"beta": st.floats(-0.9, 0.9)})))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(preset=_preset_params, data=st.data(), steps=st.integers(1, 25),
+       n=st.integers(1, 6), depth=st.integers(0, 10))
+def test_unchecked_steps_match_the_checked_kernel(preset, data, steps, n, depth):
+    family = cs.make_family(preset[0], **preset[1])
+    lo, hi = family.param_range
+    eps = data.draw(st.floats(lo, hi), label="eps")
+    sides = np.asarray(data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        min_size=steps, max_size=steps), label="sides"))
+    dlo, dhi = family.domain
+    points = np.asarray(data.draw(st.lists(
+        st.lists(st.floats(dlo, dhi), min_size=2, max_size=2),
+        min_size=n, max_size=n), label="points"))
+    assert np.array_equal(cs.apply_branches(family, eps, sides, points),
+                          _checked_chain(family, eps, sides, points))
+    column = tuple(sides[:, 0].tolist())
+    assert np.array_equal(cs.apply_branches(family, eps, column, points),
+                          _checked_chain(family, eps, column, points))
+    for level, (los, his) in zip(cs.partition_levels(family, eps, depth),
+                                 _checked_levels(family, eps, depth),
+                                 strict=True):
+        assert np.array_equal(level.los, los) and np.array_equal(level.his, his)
+
+
+def test_a_chain_checks_only_its_first_step(monkeypatch):
+    calls = []
+    inverse = cs.MapFamily.inverse_branch
+
+    def counted(self, *args):
+        calls.append(1)
+        return inverse(self, *args)
+
+    monkeypatch.setattr(cs.MapFamily, "inverse_branch", counted)
+    q, rng = cs.Quadratic(), np.random.default_rng(4)
+    cs.apply_branches(q, 0.2, tuple(rng.integers(0, 2, 30).tolist()), q.domain)
+    assert len(calls) == 1
+    calls.clear()
+    cs.apply_branches(q, 0.2, rng.integers(0, 2, (30, 5)), np.zeros((5, 2)))
+    assert len(calls) <= 2
+    calls.clear()
+    cs.partition_levels(q, 0.2, 10)
+    assert calls == []
+
+
+_ENTRY_CALLS = {
+    "apply_branches": lambda fam, eps, x: cs.apply_branches(
+        fam, eps, (0, 1, 1), [x, 0.5]),
+    "apply_branches-2d": lambda fam, eps, x: cs.apply_branches(
+        fam, eps, [[0, 1], [1, 1], [0, 0]], [x, 0.5]),
+    "distortion_check": lambda fam, eps, x: cs.distortion_check(
+        fam, eps, cs.Word((0, 1, 1)), x, 0.5,
+        cs.estimate_constants(fam, 0.2)),
+    "cylinder": lambda fam, eps, x: cs.cylinder(fam, eps, cs.Word((0, 1, 1))),
+    "partition_levels": lambda fam, eps, x: cs.partition_levels(fam, eps, 4),
+    "scale_at": lambda fam, eps, x: cs.scale_at(
+        fam, eps, cs.parse_dual_point("0^inf|1."), 10),
+}
+
+
+@pytest.mark.parametrize("name", _ENTRY_CALLS)
+@pytest.mark.parametrize("eps", [1.0 + 1e-9, 1.5])
+def test_a_chain_checks_eps_at_its_entry(name, eps):
+    with pytest.raises(cs.ParameterRangeError):
+        _ENTRY_CALLS[name](cs.Quadratic(), eps, 0.25)
+
+
+@pytest.mark.parametrize("name", ["apply_branches", "apply_branches-2d",
+                                  "distortion_check"])
+@pytest.mark.parametrize("x", [-1.5, 1.0 + 1e-9])
+def test_a_chain_checks_its_start_points_at_its_entry(name, x):
+    with pytest.raises(cs.DomainError):
+        _ENTRY_CALLS[name](cs.Quadratic(), 0.2, x)
+
+
+@pytest.mark.parametrize("sides,message", [
+    ((0, 1, 1, 2), "side must be 0 or 1, got 2"),
+    ([[0, 1], [1, 1], [0, 2]], "sides must be 0 or 1")])
+def test_a_bad_side_at_a_later_step_is_refused(sides, message):
+    # the unchecked steps take any side other than 0 for side 1
+    with pytest.raises(ValueError, match=message):
+        cs.apply_branches(cs.Quadratic(), 0.2, sides, [0.1, 0.2])
+
+
 def test_apply_branches_per_point_sides_are_checked():
     q = cs.Quadratic()
     with pytest.raises(ValueError, match="sides must be 0 or 1"):

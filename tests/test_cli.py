@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -390,3 +391,29 @@ def test_non_string_dual_point_exits_1_naming_the_key(tmp_path, capsys,
                               "depth": 4, "dual_point": dual_point}) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: key 'dual_point'") and "Traceback" not in err
+
+
+def test_gap_fit_with_a_gap_below_binary64_exits_2(tmp_path, capsys):
+    # 1 + eps rounds to 1, so the leading gap is 0 and its log -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, {"command": "gap-fit",
+                                  "family": {"kind": "quadratic"},
+                                  "epsilon_grid": [1e-300, 1e-200]}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence:") and "eps=1e-300" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_a_non_finite_json_field_exits_2_naming_it(tmp_path, capsys,
+                                                   monkeypatch):
+    fit = cantorscale.GapFit(eps=[0.1, 0.2], leading_ratios=[0.3, 0.4],
+                             slope=0.5, band=(1.0, math.inf))
+    monkeypatch.setattr(cantorscale.geometry, "asymptotic_gap_fit",
+                        lambda *args, **kwargs: fit)
+    assert run_cli(tmp_path, {"command": "gap-fit",
+                              "family": {"kind": "quadratic"},
+                              "epsilon_grid": [0.1, 0.2]}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence:") and "'band'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

@@ -1,5 +1,6 @@
 """Gap geometry, asymptotic gap laws and distortion bounds."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -246,6 +247,45 @@ def test_distortion_suite_matches_the_per_sample_loop(family, eps, n, max_len,
                                                       seed):
     _assert_same_suite(cs.distortion_suite(family, eps, n, max_len, seed),
                        _distortion_suite_loop(family, eps, n, max_len, seed))
+
+
+# (n_passed, n_total, worst, sha256 of the bytes of the lhs, rhs_orbit and
+# rhs_uniform arrays, one after the other) of each SUITE_CASES suite, as
+# the chains gave them while they checked every step, recorded with numpy
+# 2.4.6 on x86-64 with AVX-512 (another build's SIMD log, exp or power may
+# round differently).  Running the later steps unchecked moves no bit.
+SUITE_PINS = [
+    (200, 200, "1.000830097995106",
+     "ca4b511a7a5dbcfb27b37710a60ef78f8dbe62463c837f4b058df7e6e25286c2"),
+    (200, 200, "1.0002604334925533",
+     "18c19365c8cef830d1661357765c760e43e3306aff51af0a407433981d60384d"),
+    (200, 200, "1.0001470841169404",
+     "4931dda497efe85a859fea32abdb29286ef0a83f58343373baca912b01019d42"),
+    (100, 100, "1.0062679401895966",
+     "f1addab8d80607cf3e7fc241f232ecaa362c35159a3b485b04c402b4fccef063"),
+    (100, 100, "1.1739650635678256",
+     "28b61ae4007f335d7c6215de062c7d30bcd3f06c27fba36f884eb461a56f1801"),
+    (15, 15, "1.040142639616556",
+     "8a235f0475a9abd10e4477076bc8cae6686167a0ddf08c0c1abaffb054157d85"),
+    (100, 100, "1.0",
+     "5b638086c129ee3235cf80c1b00a0c70a46283867104a3518aba9b5d019d7ec7"),
+    (3334, 3334, "1.0002210102995743",
+     "db68d3e74ac158da1ef56a7ca48b3c391bafb393c56f552b1530cb462ce83e9f"),
+    (3334, 3334, "1.0000678184660088",
+     "19e76c94f62248eced1718a0d079805b750238061728cd42d97405843eeef15b"),
+    (3334, 3334, "1.0000207640901353",
+     "295d15b4137198033a3aedd43e47495f97da15dca2522271ffe8a216e17361bb"),
+]
+
+
+@pytest.mark.parametrize("case,pin", zip(SUITE_CASES, SUITE_PINS), ids=[
+    f"{c[0].kind}{c[0].extra.get('gamma', '')}-{c[1]}-seed{c[4]}"
+    for c in SUITE_CASES])
+def test_distortion_suite_is_pinned_bit_for_bit(case, pin):
+    n_pass, n_total, worst, checks = cs.distortion_suite(*case)
+    arrays = np.array([[c.lhs, c.rhs_orbit, c.rhs_uniform] for c in checks]).T
+    assert (n_pass, n_total, repr(worst)) == pin[:3]
+    assert hashlib.sha256(arrays.tobytes()).hexdigest() == pin[3]
 
 
 def test_distortion_suite_drops_the_samples_of_an_empty_cell(monkeypatch):
