@@ -13,8 +13,7 @@ from .dimension import (DimensionEstimate, delta0, hd_curve, hd_estimate,
 from .errors import (BudgetExceededError, CantorScaleError, ConvergenceError,
                      DomainError, ParameterRangeError)
 from .families import (AsymQuadratic, Figure6, GammaPower, MapFamily,
-                       Quadratic, SmoothnessReport, Tent, family_from_spec,
-                       make_family)
+                       Quadratic, Tent, family_from_spec, make_family)
 from .geometry import (DistortionCheck, GapFit, GapRecord,
                        GoodFamilyConstants, asymptotic_gap_fit,
                        distortion_check, distortion_suite, estimate_constants,

@@ -48,31 +48,26 @@ def pressure_sum(part: Partition, delta: float,
     return math.fsum((rel ** delta).tolist())
 
 
-class _Root(tuple):
-    """``(delta, residual)`` of one pressure root; ``iterations`` counts its steps."""
-
-    def __new__(cls, delta: float, residual: float, iterations: int):
-        root = super().__new__(cls, (delta, residual))
-        root.iterations = iterations
-        return root
-
-
 def _solve_delta(part: Partition, domain_length: float,
-                 tol: float = 1e-10) -> tuple[float, float]:
+                 tol: float = 1e-10) -> tuple[float, float, int]:
     """Newton root of F(delta) = log sum r^delta, from delta = 1.
 
-    F is convex and decreasing, so after the first step every Newton
-    iterate lies at or left of the root and climbs to it without
-    overshooting; a step below 0, where F(0) = log(cell count) > 0, is
-    clamped to 0.  The start delta = 1 is the root of a tiling, which then
-    returns exactly 1.0.  Cells of zero length add nothing for delta > 0
-    and are left out of ``log r``.  The returned residual ``|sum r^delta -
-    1|`` is the pairwise numpy sum over the same ``log r``, within about
-    log2(cells) ulps of the compensated ``pressure_sum`` one, and must be
-    < ``tol``.
+    Returns ``(delta, residual, iterations)``.  F is convex and decreasing,
+    so after the first step every Newton iterate lies at or left of the
+    root and climbs to it without overshooting; a step below 0, where F(0)
+    = log(cell count) > 0, is clamped to 0.  The start delta = 1 is the
+    root of a tiling, which then returns exactly 1.0.  Cells of zero length
+    add nothing for delta > 0 and are left out of ``log r``; a level whose
+    every cell has length 0 has no root.  The returned residual ``|sum
+    r^delta - 1|`` is the pairwise numpy sum over the same ``log r``,
+    within about log2(cells) ulps of the compensated ``pressure_sum`` one,
+    and must be < ``tol``.
     """
     rel = part.lengths / domain_length
     log_r = np.log(rel[rel > 0.0])
+    if not log_r.size:
+        raise ConvergenceError(
+            f"pressure root: every level-{part.depth} cell has length 0")
     delta = 1.0
     for iterations in range(1, _MAX_STEPS + 1):
         powers = np.exp(delta * log_r)
@@ -86,7 +81,7 @@ def _solve_delta(part: Partition, domain_length: float,
     if not residual < tol:
         raise ConvergenceError(
             f"pressure root {delta!r}: residual {residual:.3g} not below {tol:.3g}")
-    return _Root(float(delta), residual, iterations)
+    return float(delta), residual, iterations
 
 
 def hd_estimate(family: MapFamily, eps: float, depth: int) -> DimensionEstimate:
@@ -95,13 +90,12 @@ def hd_estimate(family: MapFamily, eps: float, depth: int) -> DimensionEstimate:
         raise DomainError("hd_estimate needs depth >= 6")
     levels = partition_levels(family, eps, depth)
     dlen = family.domain[1] - family.domain[0]
-    d_prev, _ = _solve_delta(levels[depth - 1], dlen)
-    root = _solve_delta(levels[depth], dlen)
-    d_last, residual = root
+    d_prev, _, _ = _solve_delta(levels[depth - 1], dlen)
+    d_last, residual, iterations = _solve_delta(levels[depth], dlen)
     lo, hi = sorted((d_prev, d_last))
     return DimensionEstimate(epsilon=eps, depth=depth, delta=d_last,
                              bracket=(lo, hi), residual=residual,
-                             iterations=root.iterations)
+                             iterations=iterations)
 
 
 def hd_curve(family: MapFamily, eps_grid, depth: int):

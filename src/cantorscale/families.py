@@ -35,37 +35,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ParameterRangeError
 
-# Finite-difference step of the second/third-derivative stencils
-# (truncation vs roundoff at binary64).
-FD_STEP_HIGH = 1e-4
-
 #: distance from the critical point at which ``residual_limits`` reads r_f
 RESIDUAL_PROBE = 1e-9
-
-#: sample points of the Schwarzian grid in ``smoothness_report``
-SCHWARZIAN_GRID = 400
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    """Empirical smoothness diagnostics of one map of the family.
-
-    ``schwarzian_max`` is the maximum of S(f) on a sample grid that
-    excludes a neighbourhood of the critical point; it is ``None`` when
-    the Schwarzian is undefined (piecewise linear map).
-    """
-
-    schwarzian_max: float | None
-    expanding_at_endpoints: bool
-    endpoint_derivatives: tuple[float, float]
-    residual_holder_estimate: tuple[float, float]
-    schwarzian_defined: bool = True
 
 
 class MapFamily:
@@ -159,50 +135,6 @@ class MapFamily:
 
     def _inverse(self, eps: float, side: int, y):
         raise NotImplementedError
-
-    # -- diagnostics ------------------------------------------------------
-
-    def smoothness_report(self, eps: float) -> SmoothnessReport:
-        """Sampled Schwarzian sign, endpoint expansion and residual regularity."""
-        eps = self.check_param(eps)
-        dlo, dhi = self.domain
-        half = dhi
-        d_lo = abs(float(self._deriv_raw(eps, np.asarray(dlo + 1e-9))))
-        d_hi = abs(float(self._deriv_raw(eps, np.asarray(dhi - 1e-9))))
-        expanding = d_lo > 1.0 and d_hi > 1.0
-
-        schwarzian_max = None
-        defined = not self.piecewise_linear
-        if defined:
-            # exclude a neighbourhood of the critical point and the endpoints
-            xs = np.linspace(dlo + 0.02 * half, dhi - 0.02 * half,
-                             SCHWARZIAN_GRID)
-            xs = xs[np.abs(xs) > 0.05 * half]
-            h = FD_STEP_HIGH * half
-            f1 = self._deriv_raw(eps, xs)
-            f_up = self._deriv_raw(eps, xs + h)
-            f_down = self._deriv_raw(eps, xs - h)
-            f2 = (f_up - f_down) / (2 * h)
-            f3 = (f_up - 2 * f1 + f_down) / h**2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = f3 / f1 - 1.5 * (f2 / f1) ** 2
-            s = s[np.isfinite(s)]
-            schwarzian_max = float(np.max(s)) if s.size else None
-
-        return SmoothnessReport(
-            schwarzian_max=schwarzian_max,
-            expanding_at_endpoints=expanding,
-            endpoint_derivatives=(d_lo, d_hi),
-            residual_holder_estimate=self._residual_holder(eps),
-            schwarzian_defined=defined,
-        )
-
-    def _residual_holder(self, eps: float) -> tuple[float, float]:
-        # empirical Holder-1 constant of r_f on each side via dyadic sampling
-        xs = np.outer((-1.0, 1.0), 0.5 ** np.arange(3, 12))
-        r = self.power_law_residual(eps, xs)
-        left, right = np.max(np.abs(np.diff(r)) / np.abs(np.diff(xs)), axis=1)
-        return (float(left), float(right))
 
     @property
     def piecewise_linear(self) -> bool:

@@ -120,6 +120,7 @@ def b_const(gamma: float, eps: float = 0.0) -> float:
 
 
 def _metric_for(family: MapFamily, eps: float) -> MetricChange:
+    eps = family.check_param(eps)
     if family.domain != (-1.0, 1.0):
         raise DomainError("metric operations need the normalized domain [-1, 1]")
     if family.gamma <= 1.0:

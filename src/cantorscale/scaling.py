@@ -23,7 +23,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .branches import Word, apply_branches, cylinder, partition_levels
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .families import MapFamily
 from .symbolic import DualPoint, ZEROS
 
@@ -100,8 +100,6 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
     converged when three deltas one tail period apart (one apart for a
     zeros or truncated tail) are positive and non-decreasing.
     """
-    if eps < 0.0:
-        raise DomainError("scale_at requires eps >= 0")
     coords_available = a.available
     n_max = depth if coords_available is None else min(depth, coords_available - 1)
     if n_max < 1:
@@ -144,6 +142,9 @@ def scaling_graph(family: MapFamily, eps: float, depth: int, metric=None):
                                for level in partition_levels(family, eps, depth)]
     h = np.asarray if metric is None else metric.h
     parent_len, child_len = (h(hi) - h(lo) for lo, hi in ends[-2:])
+    if not np.all(parent_len > 0.0):
+        raise ConvergenceError(f"scaling_graph: depth {depth} divides by a "
+                               f"level-{depth - 1} cell of length 0")
     s = child_len / np.repeat(parent_len, 2)
 
     # x of cell i is its bit reversal over 2^n_bits; bit reversal is its own

@@ -327,11 +327,15 @@ _ENTRY_CALLS = {
     "partition_levels": lambda fam, eps, x: cs.partition_levels(fam, eps, 4),
     "scale_at": lambda fam, eps, x: cs.scale_at(
         fam, eps, cs.parse_dual_point("0^inf|1."), 10),
+    "tilde_scaling": lambda fam, eps, x: cs.tilde_scaling(
+        fam, eps, cs.parse_dual_point("0^inf|1."), 10),
+    "tilde_eval": lambda fam, eps, x: cs.tilde_eval(fam, eps, x),
+    "tilde_deriv": lambda fam, eps, x: cs.tilde_deriv(fam, eps, x),
 }
 
 
 @pytest.mark.parametrize("name", _ENTRY_CALLS)
-@pytest.mark.parametrize("eps", [1.0 + 1e-9, 1.5])
+@pytest.mark.parametrize("eps", [-0.1, 1.0 + 1e-9, 1.5])
 def test_a_chain_checks_eps_at_its_entry(name, eps):
     with pytest.raises(cs.ParameterRangeError):
         _ENTRY_CALLS[name](cs.Quadratic(), eps, 0.25)

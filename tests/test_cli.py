@@ -417,3 +417,23 @@ def test_a_non_finite_json_field_exits_2_naming_it(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("non-convergence:") and "'band'" in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("cfg,message", [
+    # some level-17 cells round to length 0, and s divides by them
+    ({"command": "scaling-graph",
+      "family": {"kind": "gamma_power", "params": {"gamma": 3}},
+      "epsilon": 1.0, "depth": 18}, "depth 18"),
+    # every level-13 cell rounds to length 0, so no pressure root exists
+    ({"command": "dimension-curve",
+      "family": {"kind": "gamma_power", "params": {"gamma": 40}},
+      "epsilon_grid": [0.5, 1.0], "depth": 14}, "level-13"),
+])
+def test_cells_of_length_zero_exit_2_with_no_artifact(tmp_path, capsys, cfg,
+                                                      message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence:") and message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

@@ -94,7 +94,7 @@ def _zero_cell_partitions():
 @pytest.mark.parametrize("family,eps", MPMATH_CASES)
 def test_newton_root_matches_mpmath(family, eps):
     part = cs.partition(family, eps, 10)
-    delta, residual = _solve_delta(part, _domain_length(family))
+    delta, residual, _ = _solve_delta(part, _domain_length(family))
     assert abs(delta - _mpmath_root(part, _domain_length(family))) < 1e-13
     assert residual < 1e-10
 
@@ -104,7 +104,7 @@ def test_newton_root_tent_moran(eps):
     # depth 6: deeper tent endpoints cancel in the cell lengths, which
     # moves the root of the binary64 partition itself (1.6e-14 at depth
     # 10 for eps = 1, where it still matches its own mpmath root)
-    delta, _ = _solve_delta(cs.partition(cs.Tent(), eps, 6), 2.0)
+    delta, _, _ = _solve_delta(cs.partition(cs.Tent(), eps, 6), 2.0)
     assert abs(delta - math.log(2.0) / math.log(2.0 + eps)) < 1e-14
 
 
@@ -121,7 +121,7 @@ def test_zero_length_cell_adds_nothing():
     with_zero, without = _zero_cell_partitions()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        delta, residual = _solve_delta(with_zero, 2.0)
+        delta, residual, _ = _solve_delta(with_zero, 2.0)
     assert math.isfinite(delta) and residual < 1e-10
     assert delta == _solve_delta(without, 2.0)[0]
 
@@ -133,16 +133,24 @@ def test_newton_iterations_bounded():
     roots += [_solve_delta(cs.partition(f, 0.0, d), _domain_length(f))
               for f in TILINGS for d in (6, 10, 14)]
     roots += [_solve_delta(p, 2.0) for p in _zero_cell_partitions()]
-    assert all(1 <= root.iterations <= 12 for root in roots)
+    assert all(1 <= root[2] <= 12 for root in roots)
     # the estimate reports the steps of its deepest root
     est = cs.hd_estimate(cs.Quadratic(), 0.3, 10)
     assert est.iterations == _solve_delta(cs.partition(cs.Quadratic(), 0.3, 10),
-                                          2.0).iterations
+                                          2.0)[2]
 
 
 def test_newton_root_raises_above_tolerance():
     with pytest.raises(ConvergenceError):
         _solve_delta(cs.partition(cs.Quadratic(), 0.3, 8), 2.0, tol=0.0)
+
+
+def test_newton_root_raises_when_every_cell_has_length_zero():
+    part = cs.Partition(1, np.zeros(4), np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="every level-1 cell"):
+            _solve_delta(part, 2.0)
 
 
 #: (family, eps) whose roots at depths 6-16 are checked against the fsum residual
@@ -155,14 +163,14 @@ def test_root_residual_matches_the_compensated_sum(family, eps):
     levels = cs.partition_levels(family, eps, 16)
     dlen = _domain_length(family)
     for depth in range(6, 17):
-        delta, residual = _solve_delta(levels[depth], dlen)
+        delta, residual, _ = _solve_delta(levels[depth], dlen)
         reference = abs(cs.pressure_sum(levels[depth], delta, dlen) - 1.0)
         assert abs(residual - reference) < 1e-14
 
 
 def test_root_residual_with_a_zero_cell_matches_the_compensated_sum():
     for part in _zero_cell_partitions():
-        delta, residual = _solve_delta(part, 2.0)
+        delta, residual, _ = _solve_delta(part, 2.0)
         assert abs(residual - abs(cs.pressure_sum(part, delta) - 1.0)) < 1e-14
 
 

@@ -103,28 +103,6 @@ def test_residual_limits_pair():
     assert b == pytest.approx(-4.0, rel=1e-6)
 
 
-def test_smoothness_report_quadratic():
-    rep = cs.Quadratic().smoothness_report(0.0)
-    assert rep.schwarzian_defined
-    assert rep.schwarzian_max <= 1e-12
-    assert rep.expanding_at_endpoints
-    assert rep.endpoint_derivatives[0] == pytest.approx(4.0, rel=1e-6)
-    assert rep.endpoint_derivatives[1] == pytest.approx(4.0, rel=1e-6)
-
-
-def test_smoothness_report_tent_flagged():
-    rep = cs.Tent().smoothness_report(0.5)
-    assert not rep.schwarzian_defined
-    assert rep.schwarzian_max is None
-
-
-def test_smoothness_report_figure6_c0_matches_quadratic():
-    rep = cs.Figure6(0.0).smoothness_report(0.0)
-    assert rep.schwarzian_max <= 1e-9
-    assert rep.endpoint_derivatives[0] == pytest.approx(4.0, rel=1e-5)
-    assert rep.endpoint_derivatives[1] == pytest.approx(4.0, rel=1e-5)
-
-
 def test_parameter_and_domain_errors():
     q = cs.Quadratic()
     with pytest.raises(cs.ParameterRangeError):
