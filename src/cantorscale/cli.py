@@ -25,7 +25,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,9 @@ CONFIG_KEYS = ("command", "family", "depth", "epsilon", "epsilon_grid",
 #: the chain commands stop at the length floor, which binary64 cylinders
 #: reach by depth ~40, so a deeper config asks for nothing more
 MAX_DEPTH = 1000
-#: rows of the partition CSV formatted per write
+#: rows of the partition CSV formatted per write; a mirror-symmetric
+#: partition formats this many left-half rows and derives as many mirrored
+#: ones per write, so memory holds one chunk whatever the depth
 CSV_CHUNK_ROWS = 4096
 
 
@@ -68,15 +72,27 @@ def _write_json(path: Path, payload: dict) -> None:
                                default=lambda obj: obj.item()) + "\n")
 
 
+def _csv_lines(columns) -> str:
+    """Equally long columns of cell strings as comma-joined lines ended by
+    CRLF, as ``csv.writer`` writes them; no cell written here needs
+    quoting."""
+    return "\r\n".join([*map(",".join, zip(*columns)), ""])
+
+
 def _write_csv(path: Path, header: list[str], chunks) -> None:
-    """Write ``header``, then each chunk, a tuple of equally long columns of
-    cell strings, as comma-joined lines ended by CRLF, as ``csv.writer``
-    writes them; no cell written here needs quoting.  Each chunk is written
-    at once, so a file streamed in chunks is never held in memory."""
+    """Write ``header``, then each chunk of columns as ``_csv_lines``.  Each
+    chunk is written at once, so a file streamed in chunks is never held in
+    memory."""
     with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(_csv_lines([[name] for name in header]))  # one row
         for columns in chunks:
-            fh.write("\r\n".join([*map(",".join, zip(*columns)), ""]))
+            fh.write(_csv_lines(columns))
+
+
+def _negated(cells: list[str]) -> list[str]:
+    """``repr(-x)`` from ``repr(x)`` for finite ``x``, ±0.0 included: the
+    leading ``-`` toggled."""
+    return [c[1:] if c[0] == "-" else "-" + c for c in cells]
 
 
 def _integer(key: str, value) -> int:
@@ -169,19 +185,54 @@ class Experiment:
 
     def cmd_partition(self) -> str:
         part = branches.partition(self.family, self.eps, self.depth)
+        los, his, lengths = part.los, part.his, part.lengths
         n, word_fmt = len(part), f"0{part.word_length}b"
         # odd[i] is the parity of the bits of i (Thue-Morse), built by doubling
         odd = np.zeros(1, dtype=bool)
         while odd.size < n:
             odd = np.concatenate([odd, ~odd])
-        columns = (part.los, part.his, part.lengths)
-        chunks = (slice(start, start + CSV_CHUNK_ROWS)
-                  for start in range(0, n, CSV_CHUNK_ROWS))
-        _write_csv(self.path(".csv"), ["word", "lo", "hi", "length", "orientation"],
-                   (([format(i, word_fmt) for i in range(n)[c]],
-                     *(map(repr, col[c].tolist()) for col in columns),
-                     ["-1" if o else "1" for o in odd[c].tolist()])
-                    for c in chunks))
+        # An even map's partition is its left half reflected: cell h + i is
+        # cell i negated, so its lo and hi are -hi_i and -lo_i, its length is
+        # length_i ((-a) - (-b) = b - a exactly) and its orientation flips.
+        # The bits decide, not ==: at eps = 0 Figure6 puts +0.0 on both
+        # sides of the critical value, whose mirror would be "-0.0".  A NaN,
+        # whose repr carries no sign, shows as a NaN length.
+        h = n // 2
+        mirrored = (not np.isnan(lengths).any()
+                    and np.array_equal(los[h:].view(np.uint64),
+                                       (-his[:h]).view(np.uint64))
+                    and np.array_equal(his[h:].view(np.uint64),
+                                       (-los[:h]).view(np.uint64)))
+        header = ["word", "lo", "hi", "length", "orientation"]
+        path = self.path(".csv")
+
+        def chunks(spill):
+            # the cells of rows [0, n), or of the left half with its mirror
+            # spilled, one chunk of rows at a time
+            stop = n if spill is None else h
+            for start in range(0, stop, CSV_CHUNK_ROWS):
+                c = slice(start, min(start + CSV_CHUNK_ROWS, stop))
+                words = [format(i, word_fmt) for i in range(n)[c]]
+                lo, hi, length = ([*map(repr, col[c].tolist())]
+                                  for col in (los, his, lengths))
+                sign = odd[c].tolist()
+                yield words, lo, hi, length, [("1", "-1")[o] for o in sign]
+                if spill is not None:
+                    spill.write(_csv_lines((
+                        ["1" + w[1:] for w in words], _negated(hi),
+                        _negated(lo), length, [("-1", "1")[o] for o in sign])))
+
+        if not mirrored:
+            _write_csv(path, header, chunks(None))
+        else:
+            # the right half follows the whole left half, so it waits on
+            # disk, never in memory
+            with tempfile.TemporaryFile("w+", newline="",
+                                        dir=self.out_dir) as spill:
+                _write_csv(path, header, chunks(spill))
+                spill.seek(0)
+                with path.open("a", newline="") as fh:
+                    shutil.copyfileobj(spill, fh)
         return (f"partition depth={self.depth} cells={len(part)} "
                 f"lambda_n={part.lambda_n:.6g}")
 

@@ -235,8 +235,15 @@ def _estimate_constants(family: MapFamily, eps: float, levels):
         hp = m.h_prime(xs)
         c3 = float(np.min(hp))
         K3 = max(map(_holder_constant, xs, hp, (1.0, 1.0)))
-        # f~'(h(x)) straight from x: no round trip through h^{-1}
-        td = np.abs(_tilde_deriv_at(family, eps, xs))
+        # f~'(h(x)) straight from x: no round trip through h^{-1}.  It
+        # divides by (1+eps)^2 - f(x)^2, which is 0 where f(x) rounds to
+        # the critical value, as |x|^40 does next to 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            td = np.abs(_tilde_deriv_at(family, eps, xs))
+        if not np.all(np.isfinite(td) & (td > 0.0)):
+            raise ConvergenceError(
+                "conjugate derivative bound degenerates in binary64: f "
+                "rounds to its critical value on the middle intervals")
         c2 = float(np.min(td))
         K2 = max(map(_holder_constant, m.h(xs), td, (alpha, alpha)))
 

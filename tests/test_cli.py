@@ -1,12 +1,18 @@
 """End-to-end runs of the experiment CLI."""
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cantorscale
 from cantorscale.cli import main
@@ -72,20 +78,41 @@ def _csv_writer_bytes(header, rows):
     return buf.getvalue().encode()
 
 
-def test_csv_artifacts_match_csv_writer_bytes(tmp_path):
+#: presets whose partitions mirror bit for bit (Quadratic, Tent,
+#: GammaPower) and two that do not: Figure6 at eps = 0 puts +0.0 on both
+#: sides of the critical value, and AsymQuadratic is not even
+PARTITION_CASES = [
+    ({"kind": "quadratic"}, 0.0), ({"kind": "quadratic"}, 0.3),
+    ({"kind": "tent"}, 1.0),
+    ({"kind": "gamma_power", "params": {"gamma": 1.5}}, 0.2),
+    ({"kind": "gamma_power", "params": {"gamma": 3.0}}, 0.2),
+    ({"kind": "figure6", "params": {"c": -0.03}}, 0.0),
+    ({"kind": "asym_quadratic", "params": {"beta": 0.3}}, 0.2),
+]
+
+
+def _check_partition_csv_bytes(tmp_path, spec, eps, depth):
     # csv.reader also accepts "\n" line ends, so compare the raw bytes
-    fam = cantorscale.GammaPower(3.0)
-    spec = {"kind": "gamma_power", "params": {"gamma": 3.0}}
     assert run_cli(tmp_path, {"command": "partition", "family": spec,
-                              "epsilon": 0.2, "depth": 7}) == 0
-    part = cantorscale.partition(fam, 0.2, 7)
+                              "epsilon": eps, "depth": depth}) == 0
+    part = cantorscale.partition(cantorscale.family_from_spec(spec), eps,
+                                 depth)
     expected = _csv_writer_bytes(
         ["word", "lo", "hi", "length", "orientation"],
         [(str(part.word(i)), float(part.los[i]), float(part.his[i]),
           float(part.lengths[i]), part.word(i).parity)
          for i in range(len(part))])
-    assert (tmp_path / "partition.csv").read_bytes() == expected
+    assert (tmp_path / "partition.csv").read_bytes() == expected, (spec, eps,
+                                                                   depth)
 
+
+def test_csv_artifacts_match_csv_writer_bytes(tmp_path):
+    for spec, eps in PARTITION_CASES:
+        for depth in (0, 1, 7):
+            _check_partition_csv_bytes(tmp_path, spec, eps, depth)
+
+    fam = cantorscale.GammaPower(3.0)
+    spec = {"kind": "gamma_power", "params": {"gamma": 3.0}}
     assert run_cli(tmp_path, {"command": "scaling-graph", "family": spec,
                               "epsilon": 0.2, "depth": 7}) == 0
     expected = _csv_writer_bytes(["x_coord", "word", "s"],
@@ -95,20 +122,15 @@ def test_csv_artifacts_match_csv_writer_bytes(tmp_path):
 
 def test_chunked_partition_and_dimension_csv_match_csv_writer_bytes(
         tmp_path, monkeypatch):
-    # 256 rows in chunks of 100: the last chunk is short
-    monkeypatch.setattr(cantorscale.cli, "CSV_CHUNK_ROWS", 100)
-    fam = cantorscale.Quadratic()
-    assert run_cli(tmp_path, {"command": "partition",
-                              "family": {"kind": "quadratic"},
-                              "epsilon": 0.3, "depth": 7}) == 0
-    part = cantorscale.partition(fam, 0.3, 7)
-    expected = _csv_writer_bytes(
-        ["word", "lo", "hi", "length", "orientation"],
-        [(str(part.word(i)), float(part.los[i]), float(part.his[i]),
-          float(part.lengths[i]), part.word(i).parity)
-         for i in range(len(part))])
-    assert (tmp_path / "partition.csv").read_bytes() == expected
+    # chunks of 3 and 100 rows end off the half of 2, 4 and 256 rows, and
+    # the last chunk of each half is short
+    for rows in (3, 100):
+        monkeypatch.setattr(cantorscale.cli, "CSV_CHUNK_ROWS", rows)
+        for spec, eps in PARTITION_CASES:
+            for depth in (0, 1, 7):
+                _check_partition_csv_bytes(tmp_path, spec, eps, depth)
 
+    fam = cantorscale.Quadratic()
     grid = [0.01, 0.05, 0.1]
     assert run_cli(tmp_path, {"command": "dimension-curve",
                               "family": {"kind": "quadratic"},
@@ -118,6 +140,46 @@ def test_chunked_partition_and_dimension_csv_match_csv_writer_bytes(
         ["epsilon", "delta", "bracket_lo", "bracket_hi"],
         [(e.epsilon, e.delta, *e.bracket) for e in ests])
     assert (tmp_path / "dimension_curve.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("spec,eps,digest", [
+    ({"kind": "quadratic"}, 0.3,
+     "a738cd584eca9a22a0decc3d7e9b5139ee5ddbe7c98ae4a1916e06dc1f63ac85"),
+    ({"kind": "figure6", "params": {"c": 0.0}}, 0.0,
+     "8decdb0fcc44cf1250300c2c639ff0ac7877a81da7be237aeeca9031d46bb225"),
+], ids=["quadratic", "figure6"])
+def test_depth_15_partition_csv_sha256(tmp_path, spec, eps, digest):
+    # 65 536 rows in 16 chunks; the mirrored path (Quadratic) and the plain
+    # one (Figure6) give the bytes that formatting every float gave
+    assert run_cli(tmp_path, {"command": "partition", "family": spec,
+                              "epsilon": eps, "depth": 15}) == 0
+    data = (tmp_path / "partition.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec,eps,floats_per_cell", [
+    ({"kind": "tent"}, 0.5, 1.5),
+    ({"kind": "gamma_power", "params": {"gamma": 3.0}}, 0.1, 1.5),
+    ({"kind": "figure6", "params": {"c": 0.0}}, 0.0, 3),
+    ({"kind": "asym_quadratic", "params": {"beta": 0.3}}, 0.2, 3),
+], ids=["tent", "gamma_power", "figure6", "asym_quadratic"])
+def test_a_mirrored_partition_formats_half_its_floats(tmp_path, monkeypatch,
+                                                      spec, eps,
+                                                      floats_per_cell):
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(cantorscale.cli, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(cantorscale.cli, "CSV_CHUNK_ROWS", 50)
+    assert run_cli(tmp_path, {"command": "partition", "family": spec,
+                              "epsilon": eps, "depth": 7}) == 0
+    assert len(calls) == floats_per_cell * 2 ** 8
+    # the mirrored half waited in an anonymous file, which is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                          "partition.csv"]
 
 
 def test_scaling_point_command(tmp_path):
@@ -437,3 +499,99 @@ def test_cells_of_length_zero_exit_2_with_no_artifact(tmp_path, capsys, cfg,
     err = capsys.readouterr().err
     assert err.startswith("non-convergence:") and message in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+FUZZ_FAMILIES = [
+    {"kind": "quadratic"}, {"kind": "tent"},
+    {"kind": "gamma_power", "params": {"gamma": 1.5}},
+    {"kind": "gamma_power", "params": {"gamma": 3}},
+    {"kind": "gamma_power", "params": {"gamma": 40}},
+    {"kind": "figure6", "params": {"c": 0.0}},
+    {"kind": "figure6", "params": {"c": -0.06}},
+    {"kind": "figure6", "params": {"c": 0.03, "normalize": False}},
+    {"kind": "asym_quadratic", "params": {"beta": 0.3}},
+    {"kind": "asym_quadratic", "params": {"beta": -0.9}},
+    {"kind": "gamma_power", "params": {"gamma": 1.0}},
+    {"kind": "quadratic", "params": {"gamma": 3}}, {"kind": "cubic"},
+]
+#: epsilon as a place in the family's range [lo, hi]: its ends, inside it,
+#: a hair above lo, and outside it on either side.  Hypothesis shrinks
+#: towards the first entry of each list, so the valid entries come first
+FUZZ_EPS = {"lo": lambda lo, hi: lo,
+            "hi": lambda lo, hi: hi,
+            "mid": lambda lo, hi: (lo + hi) / 2,
+            "tiny": lambda lo, hi: lo + 1e-300,
+            "small": lambda lo, hi: lo + 1e-12,
+            "below": lambda lo, hi: lo - 0.1,
+            "above": lambda lo, hi: hi + 0.5}
+FUZZ_DUAL_POINTS = ["0^inf|1.", "0^inf|.", "(10)^inf|.", "(010)^inf|00.",
+                    "(1)^inf|0.", "?|01.", "()^inf|.", "0^inf|2.", "01",
+                    "(ab)^inf|.", None]
+
+
+def _run_in(cfg: dict):
+    """Exit status, stderr and ``{name: bytes}`` of one in-process run."""
+    with tempfile.TemporaryDirectory() as cfg_dir, \
+            tempfile.TemporaryDirectory() as out_dir:
+        cfg_path = Path(cfg_dir) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(["--config", str(cfg_path), "--out", out_dir])
+        files = {p.name: p.read_bytes() for p in Path(out_dir).iterdir()}
+    return rc, err.getvalue(), files
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _check_artifact(name: str, data: bytes) -> None:
+    text = data.decode()
+    if name.endswith(".json"):
+        json.loads(text, parse_constant=_refuse_constant)
+    elif name.endswith(".csv"):
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert rows and all(len(row) == len(header) for row in rows)
+        for row in rows:
+            for key, cell in zip(header, row):
+                if key != "word":
+                    assert math.isfinite(float(cell)), (name, key, cell)
+    else:
+        # jump-report's "label : value" lines; tau1 and tau2 read inf where
+        # the tracked cell touches the left endpoint, so values go unchecked
+        assert name.endswith(".txt")
+        assert all(" : " in line for line in text.splitlines())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(cantorscale.cli.COMMANDS),
+       family=st.sampled_from(FUZZ_FAMILIES),
+       depth=st.integers(0, 8),
+       eps=st.sampled_from(list(FUZZ_EPS)),
+       grid=st.lists(st.sampled_from(list(FUZZ_EPS)), max_size=3),
+       dual_point=st.sampled_from(FUZZ_DUAL_POINTS),
+       samples=st.integers(0, 20), seed=st.integers(0, 3))
+def test_fuzzed_configs_exit_cleanly_with_finite_repeatable_artifacts(
+        command, family, depth, eps, grid, dual_point, samples, seed):
+    # an invalid family spec gets the quadratic's range; its run exits 1.
+    # A grid is sorted, as an unsorted one only ever exits 1; an empty one
+    # and a None dual point are left out
+    try:
+        lo, hi = cantorscale.family_from_spec(family).param_range
+    except cantorscale.CantorScaleError:
+        lo, hi = 0.0, 1.0
+    cfg = {"command": command, "family": family, "depth": depth,
+           "epsilon": FUZZ_EPS[eps](lo, hi), "samples": samples, "seed": seed}
+    if grid:
+        cfg["epsilon_grid"] = sorted({FUZZ_EPS[e](lo, hi) for e in grid})
+    if dual_point is not None:
+        cfg["dual_point"] = dual_point
+    rc, err, files = _run_in(cfg)
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.startswith(("error:", "non-convergence:")), err
+    for name, data in files.items():
+        _check_artifact(name, data)
+    assert _run_in(cfg) == (rc, err, files)

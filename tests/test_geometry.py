@@ -93,6 +93,14 @@ def test_estimate_constants_tent_degenerate():
     assert k.degenerate
 
 
+@pytest.mark.parametrize("eps", [0.5, 1.0])
+def test_estimate_constants_refuses_a_derivative_bound_lost_to_rounding(eps):
+    # |x|^40 rounds f(x) to its critical value next to 0, so f~' divides
+    # by 0 there; the refusal comes before the division's RuntimeWarning
+    with pytest.raises(cs.ConvergenceError, match="degenerates in binary64"):
+        cs.estimate_constants(cs.GammaPower(40.0), eps)
+
+
 def test_constants_continuity_in_eps():
     a = cs.estimate_constants(cs.Quadratic(), 0.2)
     b = cs.estimate_constants(cs.Quadratic(), 0.21)
