@@ -54,10 +54,6 @@ class Cylinder:
     def length(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def orientation(self) -> int:
-        return self.word.parity
-
 
 def apply_branches(family: MapFamily, eps: float, sides,
                    points) -> np.ndarray:

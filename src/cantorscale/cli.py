@@ -45,9 +45,10 @@ CONFIG_KEYS = ("command", "family", "depth", "epsilon", "epsilon_grid",
 #: the chain commands stop at the length floor, which binary64 cylinders
 #: reach by depth ~40, so a deeper config asks for nothing more
 MAX_DEPTH = 1000
-#: rows of the partition CSV formatted per write; a mirror-symmetric
-#: partition formats this many left-half rows and derives as many mirrored
-#: ones per write, so memory holds one chunk whatever the depth
+#: rows of the partition and scaling-graph CSVs formatted per write; a
+#: mirror-symmetric partition formats this many left-half rows and derives
+#: as many mirrored ones per write, so memory holds one chunk whatever the
+#: depth
 CSV_CHUNK_ROWS = 4096
 
 
@@ -237,12 +238,20 @@ class Experiment:
                 f"lambda_n={part.lambda_n:.6g}")
 
     def cmd_scaling_graph(self) -> str:
-        rows = scaling.scaling_graph(self.family, self.eps, self.depth)
-        xs, words, vals = zip(*rows)
-        _write_csv(self.path(".csv"), ["x_coord", "word", "s"],
-                   [(map(_fmt, xs), words, map(_fmt, vals))])
-        return (f"scaling-graph depth={self.depth} rows={len(rows)} "
-                f"s_range=[{min(vals):.4f},{max(vals):.4f}]")
+        s = scaling.scaling_graph(self.family, self.eps, self.depth)
+        n, word_fmt = s.size, f"0{self.depth + 1}b"
+
+        def chunks():
+            # row k is x = k / n, whose word is k's bits reversed
+            for start in range(0, n, CSV_CHUNK_ROWS):
+                rows = range(start, min(start + CSV_CHUNK_ROWS, n))
+                yield ([repr(k / n) for k in rows],
+                       [format(k, word_fmt)[::-1] for k in rows],
+                       [*map(repr, s[rows.start:rows.stop].tolist())])
+
+        _write_csv(self.path(".csv"), ["x_coord", "word", "s"], chunks())
+        return (f"scaling-graph depth={self.depth} rows={n} "
+                f"s_range=[{s.min():.4f},{s.max():.4f}]")
 
     def cmd_scaling_point(self) -> str:
         est = scaling.scale_at(self.family, self.eps, self.dual_point(),
@@ -318,10 +327,13 @@ class Experiment:
 
     def cmd_jump_report(self) -> str:
         analysis = scaling.jump_at(self.family, self.dual_point(), self.depth)
+        # tau divides by c_n, which is 0 where the cell touches the left end
+        tau1, tau2 = (_fmt(t) if math.isfinite(t) else "undefined"
+                      for t in (analysis.tau1, analysis.tau2))
         lines = [
             f"dual point   : {self.dual_point_text}",
-            f"tau1         : {_fmt(analysis.tau1)}",
-            f"tau2         : {_fmt(analysis.tau2)}",
+            f"tau1         : {tau1}",
+            f"tau2         : {tau2}",
             f"s0 (direct)  : {_fmt(analysis.value)}",
             f"one-sided #1 : {_fmt(analysis.one_sided_limits[0])}",
             f"one-sided #2 : {_fmt(analysis.one_sided_limits[1])}",

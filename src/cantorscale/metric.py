@@ -114,11 +114,6 @@ class MetricChange:
         return float(x) if np.asarray(x).ndim == 0 else x
 
 
-def b_const(gamma: float, eps: float = 0.0) -> float:
-    """The normalization 2 / integral_{-1}^{1} of the metric density."""
-    return MetricChange(gamma, eps).b
-
-
 def _metric_for(family: MapFamily, eps: float) -> MetricChange:
     eps = family.check_param(eps)
     if family.domain != (-1.0, 1.0):

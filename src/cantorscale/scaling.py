@@ -128,13 +128,15 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
         error_bound=error_bound, converged=converged)
 
 
-def scaling_graph(family: MapFamily, eps: float, depth: int, metric=None):
-    """Rows ``(x_coord, word, s)`` over all words of length depth+1.
+def scaling_graph(family: MapFamily, eps: float, depth: int,
+                  metric=None) -> np.ndarray:
+    """The ratios ``s`` over all words of length depth+1, in x order.
 
     The abscissa embeds the dual point into [0, 1) with the innermost
     coordinate i0 as most significant bit, so graph continuity mirrors
-    continuity on the dual Cantor set.  Rows are sorted by x_coord.
-    ``metric`` switches to ratios of h-image lengths.
+    continuity on the dual Cantor set.  Entry ``k`` has ``x = k / 2^(depth+1)``
+    and the word ``format(k, f"0{depth+1}b")[::-1]``.  ``metric`` switches
+    to ratios of h-image lengths.
     """
     dlo, dhi = family.domain
     # endpoints by level; the domain is the parent of level 0
@@ -146,18 +148,9 @@ def scaling_graph(family: MapFamily, eps: float, depth: int, metric=None):
         raise ConvergenceError(f"scaling_graph: depth {depth} divides by a "
                                f"level-{depth - 1} cell of length 0")
     s = child_len / np.repeat(parent_len, 2)
-
-    # x of cell i is its bit reversal over 2^n_bits; bit reversal is its own
-    # inverse, so the k-th row in x order is cell rev[k] and x = k / 2^n_bits
-    n_bits = depth + 1
-    rev = np.zeros(s.size, dtype=np.int64)
-    v = np.arange(s.size, dtype=np.int64)
-    for _ in range(n_bits):
-        rev = (rev << 1) | (v & 1)
-        v >>= 1
-    words = (format(i, f"0{n_bits}b") for i in rev.tolist())
-    return list(zip((np.arange(s.size) / s.size).tolist(), words,
-                    s[rev].tolist()))
+    # cell i sits at x = (bit reversal of i) / 2^(depth+1); reversing the
+    # axes of the one-bit-per-axis view reverses the bits of the index
+    return s.reshape((2,) * (depth + 1)).T.ravel()
 
 
 def scaling_convergence(family: MapFamily, eps_grid, sample_points, depth: int):

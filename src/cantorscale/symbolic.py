@@ -79,6 +79,13 @@ class _SymbolSequence:
     def __hash__(self):
         return hash(self._key())
 
+    @staticmethod
+    def _tail_text(q) -> str:
+        """A tail period given in reading order: ``0^inf``, ``?`` or ``(q)^inf``."""
+        if q == (0,):
+            return "0^inf"
+        return "(" + "".join(map(str, q)) + ")^inf" if q else "?"
+
 
 class Code(_SymbolSequence):
     """A point of the topological Cantor set: ``(.i0 i1 i2 ...)``."""
@@ -88,12 +95,8 @@ class Code(_SymbolSequence):
         return Word(tuple(self.coord(k) for k in range(depth + 1)))
 
     def __str__(self) -> str:
-        head = "." + "".join(str(b) for b in self.coords)
-        if self.period == (0,):
-            return head + "|0^inf"
-        if not self.period:
-            return head + "|?"
-        return head + "|(" + "".join(str(b) for b in self.period) + ")^inf"
+        return ("." + "".join(map(str, self.coords)) + "|"
+                + self._tail_text(self.period))
 
 
 class DualPoint(_SymbolSequence):
@@ -109,20 +112,8 @@ class DualPoint(_SymbolSequence):
         return Word(tuple(self.coord(n - j) for j in range(n + 1)))
 
     def __str__(self) -> str:
-        suffix = "".join(str(b) for b in reversed(self.coords)) + "."
-        if self.period == (0,):
-            return "0^inf|" + suffix
-        if not self.period:
-            return "?|" + suffix
-        return "(" + "".join(str(b) for b in reversed(self.period)) + ")^inf|" + suffix
-
-
-def shift_dual(a: DualPoint) -> DualPoint:
-    return a.shift()
-
-
-def approximants(a: DualPoint, n: int) -> Word:
-    return a.approximants(n)
+        return (self._tail_text(self.period[::-1]) + "|"
+                + "".join(map(str, self.coords[::-1])) + ".")
 
 
 def parse_dual_point(text: str) -> DualPoint:

@@ -41,7 +41,7 @@ def test_cylinder_examples():
     t = cs.Tent()
     c = cs.cylinder(t, 0.0, cs.Word((0,)))
     assert (c.lo, c.hi) == pytest.approx((-1.0, 0.0), abs=1e-12)
-    assert c.orientation == 1
+    assert c.word.parity == 1
     c = cs.cylinder(t, 1.0, cs.Word((0,)))
     assert (c.lo, c.hi) == pytest.approx((-1.0, -1.0 / 3.0), abs=1e-12)
     q = cs.Quadratic()
@@ -51,8 +51,8 @@ def test_cylinder_examples():
 
 def test_orientation_is_one_bit_parity():
     q = cs.Quadratic()
-    assert cs.cylinder(q, 0.2, cs.Word((0, 1, 1))).orientation == 1
-    assert cs.cylinder(q, 0.2, cs.Word((1, 0, 0))).orientation == -1
+    assert cs.cylinder(q, 0.2, cs.Word((0, 1, 1))).word.parity == 1
+    assert cs.cylinder(q, 0.2, cs.Word((1, 0, 0))).word.parity == -1
 
 
 def test_partition_examples():

@@ -106,29 +106,51 @@ def _check_partition_csv_bytes(tmp_path, spec, eps, depth):
                                                                    depth)
 
 
+def _graph_rows(s):
+    """``(x, word, s)`` rows rebuilt from ``scaling_graph``'s x-ordered array."""
+    n_bits = s.size.bit_length() - 1
+    return [(k / s.size, format(k, f"0{n_bits}b")[::-1], v)
+            for k, v in enumerate(s.tolist())]
+
+
+def _check_graph_csv_bytes(tmp_path, spec, eps, depth):
+    assert run_cli(tmp_path, {"command": "scaling-graph", "family": spec,
+                              "epsilon": eps, "depth": depth}) == 0
+    s = cantorscale.scaling_graph(cantorscale.family_from_spec(spec), eps,
+                                  depth)
+    expected = _csv_writer_bytes(["x_coord", "word", "s"], _graph_rows(s))
+    assert (tmp_path / "scaling_graph.csv").read_bytes() == expected, (
+        spec, eps, depth)
+
+
 def test_csv_artifacts_match_csv_writer_bytes(tmp_path):
     for spec, eps in PARTITION_CASES:
         for depth in (0, 1, 7):
             _check_partition_csv_bytes(tmp_path, spec, eps, depth)
 
-    fam = cantorscale.GammaPower(3.0)
-    spec = {"kind": "gamma_power", "params": {"gamma": 3.0}}
-    assert run_cli(tmp_path, {"command": "scaling-graph", "family": spec,
-                              "epsilon": 0.2, "depth": 7}) == 0
-    expected = _csv_writer_bytes(["x_coord", "word", "s"],
-                                 cantorscale.scaling_graph(fam, 0.2, 7))
-    assert (tmp_path / "scaling_graph.csv").read_bytes() == expected
+    _check_graph_csv_bytes(
+        tmp_path, {"kind": "gamma_power", "params": {"gamma": 3.0}}, 0.2, 7)
 
 
 def test_chunked_partition_and_dimension_csv_match_csv_writer_bytes(
         tmp_path, monkeypatch):
     # chunks of 3 and 100 rows end off the half of 2, 4 and 256 rows, and
-    # the last chunk of each half is short
+    # the last chunk of each half is short.  No write formats more than a
+    # chunk of rows
+    csv_lines = cantorscale.cli._csv_lines
+
+    def one_chunk_lines(columns):
+        columns = [list(col) for col in columns]
+        assert len(columns[0]) <= cantorscale.cli.CSV_CHUNK_ROWS
+        return csv_lines(columns)
+
+    monkeypatch.setattr(cantorscale.cli, "_csv_lines", one_chunk_lines)
     for rows in (3, 100):
         monkeypatch.setattr(cantorscale.cli, "CSV_CHUNK_ROWS", rows)
         for spec, eps in PARTITION_CASES:
             for depth in (0, 1, 7):
                 _check_partition_csv_bytes(tmp_path, spec, eps, depth)
+                _check_graph_csv_bytes(tmp_path, spec, eps, depth)
 
     fam = cantorscale.Quadratic()
     grid = [0.01, 0.05, 0.1]
@@ -154,6 +176,21 @@ def test_depth_15_partition_csv_sha256(tmp_path, spec, eps, digest):
     assert run_cli(tmp_path, {"command": "partition", "family": spec,
                               "epsilon": eps, "depth": 15}) == 0
     data = (tmp_path / "partition.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec,eps,digest", [
+    ({"kind": "quadratic"}, 0.3,
+     "ed3993c8e3e3bf9c1ede2559cb36e4d51bc111584b869e806298365fffc96cd3"),
+    ({"kind": "figure6", "params": {"c": 0.0}}, 0.0,
+     "e441cbd2890b5056bf7527d11f569f7194b3622b62b3f9a24fbb79e200d95569"),
+], ids=["quadratic", "figure6"])
+def test_depth_14_scaling_graph_csv_sha256(tmp_path, spec, eps, digest):
+    # 32 768 rows in 8 chunks give the bytes that one write of the whole
+    # file gave
+    assert run_cli(tmp_path, {"command": "scaling-graph", "family": spec,
+                              "epsilon": eps, "depth": 14}) == 0
+    data = (tmp_path / "scaling_graph.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
 
@@ -270,6 +307,21 @@ def test_jump_report_command(tmp_path):
     assert rc == 0
     text = (tmp_path / "jump_report.txt").read_text()
     assert "tau1" in text and "converged    : True" in text
+
+
+@pytest.mark.parametrize("dual_point", ["0^inf|.", "0^inf|1."])
+@pytest.mark.parametrize("depth", [12, 25])
+def test_jump_report_writes_an_undefined_tau_as_undefined(tmp_path, depth,
+                                                          dual_point):
+    # the tracked cell touches the left endpoint, so c_n = 0 and tau = b/c
+    # is not a number
+    assert run_cli(tmp_path, {"command": "jump-report",
+                              "family": {"kind": "quadratic"},
+                              "depth": depth, "dual_point": dual_point}) == 0
+    data = (tmp_path / "jump_report.txt").read_bytes()
+    assert data.decode().splitlines()[1:3] == ["tau1         : undefined",
+                                               "tau2         : undefined"]
+    _check_artifact("jump_report.txt", data)
 
 
 def test_invariants_command(tmp_path):
@@ -559,10 +611,15 @@ def _check_artifact(name: str, data: bytes) -> None:
                 if key != "word":
                     assert math.isfinite(float(cell)), (name, key, cell)
     else:
-        # jump-report's "label : value" lines; tau1 and tau2 read inf where
-        # the tracked cell touches the left endpoint, so values go unchecked
+        # jump-report's "label : value" lines: a finite number, a flag, the
+        # dual point as given or an undefined tau
         assert name.endswith(".txt")
-        assert all(" : " in line for line in text.splitlines())
+        for line in text.splitlines():
+            label, sep, value = line.partition(" : ")
+            assert sep, (name, line)
+            if label.strip() != "dual point" and value not in (
+                    "undefined", "True", "False"):
+                assert math.isfinite(float(value)), (name, line)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -17,9 +17,10 @@ import cantorscale as cs
 
 
 def test_b_const_examples():
-    assert cs.b_const(2.0, 0.0) == pytest.approx(2.0 / math.pi, abs=1e-12)
-    assert cs.b_const(2.0, 0.5) == pytest.approx(1.0 / math.asin(1.0 / 1.5),
-                                                 abs=1e-12)
+    assert cs.MetricChange(2.0, 0.0).b == pytest.approx(2.0 / math.pi,
+                                                        abs=1e-12)
+    assert cs.MetricChange(2.0, 0.5).b == pytest.approx(
+        1.0 / math.asin(1.0 / 1.5), abs=1e-12)
 
 
 def test_h_examples():

@@ -10,9 +10,9 @@ import cantorscale as cs
 
 def test_shift_dual_examples():
     ones = cs.DualPoint((), (1,))
-    assert cs.shift_dual(ones) == ones
+    assert ones.shift() == ones
     p = cs.DualPoint((0, 1), "zeros")       # (0_inf 1 0.)
-    assert cs.shift_dual(p) == cs.DualPoint((1,), "zeros")
+    assert p.shift() == cs.DualPoint((1,), "zeros")
 
 
 def test_class_examples():
@@ -25,13 +25,13 @@ def test_class_examples():
 
 def test_approximants_examples():
     a = cs.DualPoint((1,), "zeros")          # (0_inf 1.)
-    assert str(cs.approximants(a, 3)) == "0001"
+    assert str(a.approximants(3)) == "0001"
     b = cs.DualPoint((), (1, 0))             # periodic, i0 = 1
-    assert str(cs.approximants(b, 3)) == "0101"
+    assert str(b.approximants(3)) == "0101"
     c = cs.parse_dual_point("?|110.")
-    assert str(cs.approximants(c, 2)) == "110"
+    assert str(c.approximants(2)) == "110"
     with pytest.raises(Exception):
-        cs.approximants(c, 5)
+        c.approximants(5)
 
 
 def test_parse_and_render_round_trip():
@@ -60,10 +60,10 @@ def test_shift_approximant_consistency():
                      "truncated"),
     ]
     for a in points:
-        b = cs.shift_dual(a)
+        b = a.shift()
         for n in range(1, 21):
-            w = cs.approximants(a, n)
-            assert cs.approximants(b, n - 1).bits == w.bits[:-1]
+            w = a.approximants(n)
+            assert b.approximants(n - 1).bits == w.bits[:-1]
         assert b.klass == a.klass
 
 
@@ -117,9 +117,9 @@ def test_dual_point_render_parse_and_shift(a):
     assert cs.parse_dual_point(str(a)) == a
     if a.available == 0:
         with pytest.raises(IndexError):
-            cs.shift_dual(a)
+            a.shift()
         return
-    b = cs.shift_dual(a)
+    b = a.shift()
     n = 12 if a.available is None else a.available - 1
     assert [b.coord(k) for k in range(n)] == [a.coord(k + 1) for k in range(n)]
     assert b.klass == a.klass

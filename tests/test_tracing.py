@@ -38,6 +38,7 @@ def test_tracer_counts_one_call_per_layer(tmp_path):
         cs.partition_levels(q, 0.1, 4)                                # branches
         cs.Tent().deriv(0.5, 0.25)                                    # families
         cs.scale_at(q, 0.0, cs.parse_dual_point("(10)^inf|1."), 10)  # scaling
+        cs.scaling_graph(q, 0.1, 3)
         cs.gap(q, 0.1, None)                                          # geometry
         cs.MetricChange(3.0, 0.0).h(0.5)                              # metric
         cs.hd_estimate(q, 0.1, 6)                                     # dimension
@@ -52,6 +53,7 @@ def test_tracer_counts_one_call_per_layer(tmp_path):
     assert tracer.counts["dimension.roots"] > 0
     assert tracer.counts["metric.h_points"] > 0
     assert tracer.counts["metric.quad_calls"] == 0
+    assert tracer.counts["scaling.graph_rows"] == 16
     assert tracer.counts["cli.commands"] == 1
     assert {name.split(".", 1)[0] for name, *_ in tracer.spans} == set(tracing.LAYERS)
     # uninstall puts the originals back
