@@ -144,9 +144,15 @@ def partition_levels(family: MapFamily, eps: float, n: int) -> list[Partition]:
     inverse = family._inverse
     levels = []
     for depth in range(n + 1):
-        # prepend one outermost branch: level-(n+1) cylinders are g_b(I_w)
-        los, his = (np.concatenate([inverse(eps, 0, los), inverse(eps, 1, his)]),
-                    np.concatenate([inverse(eps, 0, his), inverse(eps, 1, los)]))
+        # prepend one outermost branch: level-(n+1) cylinders are g_b(I_w),
+        # each branch written straight into its half of the new level
+        m = los.size
+        new_los, new_his = np.empty(2 * m), np.empty(2 * m)
+        inverse(eps, 0, los, out=new_los[:m])
+        inverse(eps, 1, his, out=new_los[m:])
+        inverse(eps, 0, his, out=new_his[:m])
+        inverse(eps, 1, los, out=new_his[m:])
+        los, his = new_los, new_his
         levels.append(Partition(depth, los, his))
     return levels
 

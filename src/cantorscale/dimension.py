@@ -10,7 +10,11 @@ delta, so Newton's method on it from delta = 1, with no bracket, climbs
 to the root from below in a few steps; the cross-depth pair (delta at
 depth-1, delta at depth) brackets the systematic error.  A root reports the residual of
 its own numpy sum of ``r^delta``; ``pressure_sum`` is the compensated
-reference sum.
+reference sum.  A mirror-symmetric preset (every power law, Figure6, and
+AsymQuadratic at beta = 0) builds levels whose right half repeats the left
+half's cell lengths exactly; there the root sums over the left half only
+and weights it by 2.  The sums then add in another order, which moves the
+root by at most about two ulps.
 """
 
 from __future__ import annotations
@@ -63,21 +67,32 @@ def _solve_delta(part: Partition, domain_length: float,
     within about log2(cells) ulps of the compensated ``pressure_sum`` one,
     and must be < ``tol``.
     """
-    rel = part.lengths / domain_length
-    log_r = np.log(rel[rel > 0.0])
+    lengths = part.lengths
+    half = lengths.size // 2
+    # a mirror-symmetric level repeats its left half's lengths on the
+    # right, so the sums run over the left half, weighted by 2 (exact)
+    mirrored = 2 * half == lengths.size and np.array_equal(lengths[:half],
+                                                          lengths[half:])
+    rel = lengths[:half] if mirrored else lengths
+    weight = 2.0 if mirrored else 1.0
+    np.divide(rel, domain_length, out=rel)
+    log_r = rel[rel > 0.0]
     if not log_r.size:
         raise ConvergenceError(
             f"pressure root: every level-{part.depth} cell has length 0")
+    np.log(log_r, out=log_r)
+    powers = np.empty_like(log_r)
     delta = 1.0
     for iterations in range(1, _MAX_STEPS + 1):
-        powers = np.exp(delta * log_r)
-        s = powers.sum()
+        np.exp(np.multiply(log_r, delta, out=powers), out=powers)
+        s = weight * powers.sum()
         # F / F' = log S / (S' / S), with S' = sum r^delta log r
-        step = math.log(s) * s / (powers @ log_r)
+        step = math.log(s) * s / (weight * (powers @ log_r))
         delta = max(delta - step, 0.0)
         if abs(step) <= _STEP_TOL:
             break
-    residual = abs(float(np.exp(delta * log_r).sum()) - 1.0)
+    np.exp(np.multiply(log_r, delta, out=powers), out=powers)
+    residual = abs(weight * float(powers.sum()) - 1.0)
     if not residual < tol:
         raise ConvergenceError(
             f"pressure root {delta!r}: residual {residual:.3g} not below {tol:.3g}")

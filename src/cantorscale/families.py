@@ -133,7 +133,14 @@ class MapFamily:
         x = self._inverse(eps, side, y)
         return float(x) if x.ndim == 0 else x
 
-    def _inverse(self, eps: float, side: int, y):
+    def _inverse(self, eps: float, side: int, y, out=None):
+        """The unchecked preimage of y on side ``side``, for a checked eps.
+
+        With ``out``, an array that ``y`` broadcasts to, the result is
+        written there and ``out`` is returned, bit for bit the values that
+        ``out=None`` returns in a new array (partition refinement writes
+        each branch straight into a slice of its level).
+        """
         raise NotImplementedError
 
     @property
@@ -167,12 +174,21 @@ class _PowerLaw(MapFamily):
         g = self.gamma
         return -g * (2.0 + eps) * np.abs(x) ** (g - 1.0) * np.sign(x)
 
-    def _inverse(self, eps, side, y):
-        t = np.maximum((1.0 + eps - np.asarray(y, dtype=float)) / (2.0 + eps), 0.0)
-        # an ndarray power takes np.sqrt at gamma = 2 and rounds a scalar as
-        # it rounds an array element; a numpy float scalar's power does not
-        t = np.asarray(t) ** (1.0 / self.gamma)
-        return -t if side == 0 else t
+    def _inverse(self, eps, side, y, out=None):
+        if out is None:
+            t = np.maximum((1.0 + eps - np.asarray(y, dtype=float)) / (2.0 + eps),
+                           0.0)
+            # an ndarray power takes np.sqrt at gamma = 2 and rounds a scalar
+            # as it rounds an array element; a numpy float scalar's power does not
+            t = np.asarray(t) ** (1.0 / self.gamma)
+            return -t if side == 0 else t
+        t = np.subtract(1.0 + eps, y, out=out)
+        np.divide(t, 2.0 + eps, out=t)
+        np.maximum(t, 0.0, out=t)
+        # the in-place operator keeps the np.sqrt fast path of ``**``;
+        # np.power(t, 0.5) calls pow, which may round differently
+        t **= 1.0 / self.gamma
+        return np.negative(t, out=t) if side == 0 else t
 
 
 class Quadratic(_PowerLaw):
@@ -253,7 +269,7 @@ class _EvenQuartic(MapFamily):
         _, k, m = self._side_coeffs(eps, x)
         return -2.0 * k * x - 4.0 * m * x ** 3
 
-    def _inverse(self, eps, side, y):
+    def _inverse(self, eps, side, y, out=None):
         """The root ``u = 2c / (k + sqrt(k^2 + 4mc))`` of ``m u^2 + k u = c``.
 
         Here ``c = crit - y``; the root has no cancellation for either
@@ -268,7 +284,11 @@ class _EvenQuartic(MapFamily):
         t = np.sqrt(2.0 * c / (k + np.sqrt(k * k + 4.0 * m * c)))
         x = np.where(c == 0.0, 0.0, -t if side == 0 else t)
         dlo, dhi = self.domain
-        return np.where(y == dlo, dlo if side == 0 else dhi, x)
+        x = np.where(y == dlo, dlo if side == 0 else dhi, x)
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
 
 class Figure6(_EvenQuartic):

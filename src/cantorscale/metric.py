@@ -77,12 +77,21 @@ class MetricChange:
         """
         x_arr = np.asarray(x, dtype=float)
         reach = 1.0 + self.eps
-        if np.any(np.abs(x_arr) > reach + 1e-12):
+        # fmin/fmax skip NaN, which passes through; the initial values let
+        # an empty array pass
+        bound = reach + 1e-12
+        if (np.fmin.reduce(x_arr, axis=None, initial=np.inf) < -bound
+                or np.fmax.reduce(x_arr, axis=None, initial=-np.inf) > bound):
             raise DomainError(f"metric change defined on [-{reach}, {reach}]")
-        x_arr = np.clip(x_arr, -reach, reach)
         if self._is_arcsin:
-            y = np.arcsin(x_arr / reach) / self._asin_scale
+            # clip into a new array (a 0-d clip returns a numpy scalar,
+            # which has no buffer to work in) and finish in place
+            y = np.clip(x_arr, -reach, reach, out=np.empty_like(x_arr))
+            np.divide(y, reach, out=y)
+            np.arcsin(y, out=y)
+            np.divide(y, self._asin_scale, out=y)
         else:
+            x_arr = np.clip(x_arr, -reach, reach)
             ax = np.abs(x_arr)
             z = (ax / reach) ** 2
             # near the reach, I_z(1/2, c) = 1 - I_{1-z}(c, 1/2) with 1 - z

@@ -1,0 +1,43 @@
+"""Allocation guards on the depth-16 kernels.
+
+Each guard bounds the peak of the bytes a call allocates, traced by
+``tracemalloc`` (numpy reports its array buffers to it), against the bytes
+of its result or input.  Unlike a timing, the peak repeats exactly, so a
+kernel that starts allocating temporaries again fails here.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+import cantorscale as cs
+from cantorscale.dimension import _solve_delta
+
+
+def _peak_bytes(fn):
+    """``(peak traced bytes during fn(), fn())``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_partition_levels_allocates_only_its_levels():
+    peak, levels = _peak_bytes(lambda: cs.partition_levels(cs.Quadratic(), 0.3, 14))
+    level_bytes = sum(level.los.nbytes + level.his.nbytes for level in levels)
+    assert peak <= 1.05 * level_bytes
+
+
+def test_pressure_root_works_in_one_buffer_over_half_a_mirrored_level():
+    level = cs.partition(cs.Quadratic(), 0.3, 14)
+    peak, _ = _peak_bytes(lambda: _solve_delta(level, 2.0))
+    assert peak <= 2.6 * level.los.nbytes
+
+
+def test_arcsin_h_allocates_only_its_output():
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, 2**15)
+    m = cs.MetricChange(2.0, 0.0)
+    peak, _ = _peak_bytes(lambda: m.h(x))
+    assert peak <= 1.05 * x.nbytes

@@ -384,19 +384,28 @@ class _SkewedQuadratic(cs.Quadratic):
         return super()._eval_raw(eps, x) * (1.0 - 1e-3 * np.asarray(x))
 
 
+def _into(out, x):
+    """What an ``_inverse`` returns: ``x`` itself, or ``x`` written to ``out``."""
+    if out is None:
+        return x
+    out[...] = x
+    return out
+
+
 class _OverlappingQuadratic(cs.Quadratic):
     """Branch images [-1, 0.01] and [-0.01, 1]: children overlap, hull intact."""
 
-    def _inverse(self, eps, side, y):
+    def _inverse(self, eps, side, y, out=None):
         x = super()._inverse(eps, side, y)
-        return x + 0.01 * (1.0 + x) if side == 0 else x - 0.01 * (1.0 - x)
+        return _into(out, x + 0.01 * (1.0 + x) if side == 0
+                     else x - 0.01 * (1.0 - x))
 
 
 class _ShrunkQuadratic(cs.Quadratic):
     """Branch images inside (-1, 1): the children no longer reach the ends."""
 
-    def _inverse(self, eps, side, y):
-        return 0.99 * super()._inverse(eps, side, y)
+    def _inverse(self, eps, side, y, out=None):
+        return _into(out, 0.99 * super()._inverse(eps, side, y))
 
 
 @pytest.mark.parametrize("broken,eps,suite", [
@@ -405,6 +414,10 @@ class _ShrunkQuadratic(cs.Quadratic):
     (_ShrunkQuadratic(), 0.3, "nesting_additivity")])
 def test_invariant_suite_sees_a_broken_family(broken, eps, suite):
     assert not cs.invariant_suite(broken, eps)[suite]["passed"]
+    # the refinement writes through ``out=``: the broken branches reach it
+    for level, (los, his) in zip(cs.partition_levels(broken, eps, 8),
+                                 _checked_levels(broken, eps, 8), strict=True):
+        assert np.array_equal(level.los, los) and np.array_equal(level.his, his)
 
 
 def test_word_rendering_and_index_round_trip():

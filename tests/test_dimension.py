@@ -64,10 +64,11 @@ def test_hd_estimate_bracket_and_residual():
 
 #: (family, eps) whose depth-10 roots are checked against mpmath
 MPMATH_CASES = [(cs.Quadratic(), 0.3), (cs.GammaPower(3.0), 0.3),
-                (cs.Figure6(0.03), 0.0), (cs.AsymQuadratic(-0.45), 0.3)]
+                (cs.Figure6(0.03), 0.0), (cs.AsymQuadratic(-0.45), 0.3),
+                (cs.Tent(), 0.3), (cs.AsymQuadratic(0.0), 0.2)]
 TENT_EPS = (0.1, 0.5, 1.0)
 #: presets whose eps = 0 cylinders tile the domain
-TILINGS = (cs.Quadratic(), cs.Figure6(0.03))
+TILINGS = (cs.Quadratic(), cs.Figure6(0.03), cs.Tent(), cs.AsymQuadratic(0.0))
 
 
 def _domain_length(family):
@@ -89,6 +90,63 @@ def _zero_cell_partitions():
     his = np.asarray([-0.5, 0.0, 0.25, 1.0])
     keep = his > los
     return cs.Partition(1, los, his), cs.Partition(1, los[keep], his[keep])
+
+
+def _mirrored_zero_cell_partitions():
+    """Six cells, the right three the left ones reflected about 0 (so the
+    halves have equal lengths), two of zero length; and the four others."""
+    left_los = np.asarray([-1.0, -0.5, -0.25])
+    left_his = np.asarray([-0.5, -0.5, 0.0])
+    los = np.concatenate([left_los, -left_his])
+    his = np.concatenate([left_his, -left_los])
+    keep = his > los
+    return cs.Partition(2, los, his), cs.Partition(1, los[keep], his[keep])
+
+
+def _full_level_solve(part, domain_length):
+    """Reference: the Newton iteration of ``_solve_delta`` with its sums
+    over every cell of the level, each step in fresh arrays."""
+    rel = part.lengths / domain_length
+    log_r = np.log(rel[rel > 0.0])
+    delta = 1.0
+    for iterations in range(1, 61):
+        powers = np.exp(delta * log_r)
+        s = powers.sum()
+        step = math.log(s) * s / (powers @ log_r)
+        delta = max(delta - step, 0.0)
+        if abs(step) <= 1e-15:
+            break
+    residual = abs(float(np.exp(delta * log_r).sum()) - 1.0)
+    return float(delta), residual, iterations
+
+
+def _is_mirrored(part):
+    lengths = part.lengths
+    half = lengths.size // 2
+    return np.array_equal(lengths[:half], lengths[half:])
+
+
+#: mirror-symmetric (family, eps): each level's right half repeats its left
+MIRRORED = [(cs.Quadratic(), 0.1), (cs.GammaPower(3.0), 0.2), (cs.Tent(), 0.3),
+            (cs.Figure6(0.03), 0.0), (cs.AsymQuadratic(0.0), 0.2)]
+
+
+@pytest.mark.parametrize("family,eps", MIRRORED)
+def test_half_level_root_matches_the_full_level_root(family, eps):
+    dlen = _domain_length(family)
+    for level in cs.partition_levels(family, eps, 16)[8:]:
+        assert _is_mirrored(level)
+        delta, residual, _ = _solve_delta(level, dlen)
+        full, full_residual, _ = _full_level_solve(level, dlen)
+        assert abs(delta - full) <= 2 * np.spacing(full)
+        assert residual < 1e-10 and full_residual < 1e-10
+
+
+def test_an_unmirrored_level_takes_the_full_level_root_bit_for_bit():
+    family, eps = cs.AsymQuadratic(-0.45), 0.3
+    for level in cs.partition_levels(family, eps, 16)[8:]:
+        assert not _is_mirrored(level)
+        assert _solve_delta(level, 2.0) == _full_level_solve(level, 2.0)
 
 
 @pytest.mark.parametrize("family,eps", MPMATH_CASES)
@@ -118,12 +176,14 @@ def test_tiling_root_is_exactly_one(family):
 
 
 def test_zero_length_cell_adds_nothing():
-    with_zero, without = _zero_cell_partitions()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        delta, residual, _ = _solve_delta(with_zero, 2.0)
-    assert math.isfinite(delta) and residual < 1e-10
-    assert delta == _solve_delta(without, 2.0)[0]
+    plain, mirrored = _zero_cell_partitions(), _mirrored_zero_cell_partitions()
+    assert not _is_mirrored(plain[0]) and _is_mirrored(mirrored[0])
+    for with_zero, without in (plain, mirrored):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta, residual, _ = _solve_delta(with_zero, 2.0)
+        assert math.isfinite(delta) and residual < 1e-10
+        assert delta == _solve_delta(without, 2.0)[0]
 
 
 def test_newton_iterations_bounded():

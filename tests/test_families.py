@@ -370,6 +370,36 @@ def test_power_law_presets_keep_their_public_surface():
         cs.Quadratic(param_range=(0.0, 2.0))
 
 
+def _bits(x):
+    """The binary64 bit patterns of ``x``: tells -0.0 from 0.0."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("family", [
+    cs.Quadratic(), cs.Tent(), cs.GammaPower(1.5), cs.GammaPower(3.0),
+    cs.Figure6(-0.03), cs.Figure6(0.05, normalize=False),
+    cs.AsymQuadratic(0.3), cs.AsymQuadratic(-0.45)], ids=lambda f: repr(f))
+def test_inverse_into_out_is_the_inverse_bit_for_bit(family):
+    dlo, dhi = family.domain
+    ys = np.concatenate([
+        np.random.default_rng(21).uniform(dlo, dhi, 1000),
+        # the domain ends, +-0 and points just outside the domain
+        [dlo, dhi, 0.0, -0.0, dlo - 1e-12, dhi + 1e-12]])
+    lo, hi = family.param_range
+    for eps in sorted({lo, (lo + hi) / 2.0, hi}):
+        for side in (0, 1):
+            want = family._inverse(eps, side, ys)
+            buf = np.full(ys.size + 7, np.nan)
+            out = buf[3:3 + ys.size]
+            assert family._inverse(eps, side, ys, out=out) is out
+            assert np.array_equal(_bits(out), _bits(want))
+            assert np.isnan(buf[:3]).all() and np.isnan(buf[-4:]).all()
+            for y in (dhi / 3.0, np.asarray(-0.0), np.asarray(dlo)):
+                out = np.empty(())
+                assert family._inverse(eps, side, y, out=out) is out
+                assert _bits(out) == _bits(family._inverse(eps, side, y))
+
+
 def test_make_family_takes_the_params_of_its_kind():
     # a JSON integer is a real number, as for epsilon
     assert cs.make_family("gamma_power", gamma=3).gamma == 3.0

@@ -56,6 +56,47 @@ def test_h_and_h_inv_keep_array_shape(gamma):
     assert back.tolist() == [[m.h_inv(y) for y in row] for row in ys.tolist()]
 
 
+def _arcsin_h(m, x):
+    """Reference: h for gamma = 2 as one out-of-place numpy expression."""
+    x_arr = np.asarray(x, dtype=float)
+    reach = 1.0 + m.eps
+    if np.any(np.abs(x_arr) > reach + 1e-12):
+        raise cs.DomainError(f"metric change defined on [-{reach}, {reach}]")
+    x_arr = np.clip(x_arr, -reach, reach)
+    y = np.arcsin(x_arr / reach) / m._asin_scale
+    return float(y) if y.ndim == 0 else y
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_arcsin_h_is_the_reference_bit_for_bit(eps):
+    m, reach = cs.MetricChange(2.0, eps), 1.0 + eps
+    xs = np.random.default_rng(5).uniform(-reach - 1e-12, reach + 1e-12, 10**5)
+    xs[:4] = -reach, reach, 0.0, -0.0
+    want = _arcsin_h(m, xs)
+    assert np.array_equal(m.h(xs).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_h_edges(gamma, eps):
+    m, reach = cs.MetricChange(gamma, eps), 1.0 + eps
+    for bad in (reach + 2e-12, -reach - 2e-12, [math.nan, reach + 2e-12],
+                [[0.0, -reach - 2e-12], [math.nan, 0.5]]):
+        with pytest.raises(cs.DomainError):
+            m.h(bad)
+    assert m.h(reach + 5e-13) == m.h(reach) and m.h(-reach - 5e-13) == m.h(-reach)
+    assert math.isnan(m.h(math.nan))
+    assert np.isnan(m.h(np.asarray([0.5, math.nan])))[1]
+    empty = m.h(np.asarray([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    for x in (0.5, np.float64(0.5), np.asarray(0.5), 1):
+        assert type(m.h(x)) is float
+    if gamma == 2.0:
+        for x in (0.5, -reach, -0.0, math.nan, reach + 5e-13):
+            assert np.asarray(m.h(x)).view(np.uint64) == np.asarray(
+                _arcsin_h(m, x)).view(np.uint64)
+
+
 def test_metric_requires_gamma_above_one():
     with pytest.raises(cs.DomainError):
         cs.MetricChange(1.0, 0.0)
