@@ -99,13 +99,16 @@ class Partition:
     """All cylinders at one depth, as endpoint arrays indexed by word.
 
     The cylinder with word ``(b0, ..., bn)`` sits at index
-    ``b0 * 2^n + ... + bn`` (leftmost bit most significant).
+    ``b0 * 2^n + ... + bn`` (leftmost bit most significant).  When
+    ``mirrored``, cell ``2^n + i`` is cell ``i`` negated bit for bit.
     """
 
-    def __init__(self, depth: int, los: np.ndarray, his: np.ndarray):
+    def __init__(self, depth: int, los: np.ndarray, his: np.ndarray,
+                 mirrored: bool = False):
         self.depth = depth
         self.los = los
         self.his = his
+        self.mirrored = mirrored
 
     @property
     def lengths(self) -> np.ndarray:
@@ -149,11 +152,15 @@ def partition_levels(family: MapFamily, eps: float, n: int) -> list[Partition]:
         m = los.size
         new_los, new_his = np.empty(2 * m), np.empty(2 * m)
         inverse(eps, 0, los, out=new_los[:m])
-        inverse(eps, 1, his, out=new_los[m:])
         inverse(eps, 0, his, out=new_his[:m])
-        inverse(eps, 1, los, out=new_his[m:])
+        if family._mirrored:  # g_1 = -g_0; a side-1 branch swaps lo and hi
+            np.negative(new_his[:m], out=new_los[m:])
+            np.negative(new_los[:m], out=new_his[m:])
+        else:
+            inverse(eps, 1, his, out=new_los[m:])
+            inverse(eps, 1, los, out=new_his[m:])
         los, his = new_los, new_his
-        levels.append(Partition(depth, los, his))
+        levels.append(Partition(depth, los, his, family._mirrored))
     return levels
 
 

@@ -46,7 +46,7 @@ CONFIG_KEYS = ("command", "family", "depth", "epsilon", "epsilon_grid",
 #: reach by depth ~40, so a deeper config asks for nothing more
 MAX_DEPTH = 1000
 #: rows of the partition and scaling-graph CSVs formatted per write; a
-#: mirror-symmetric partition formats this many left-half rows and derives
+#: mirrored partition formats this many left-half rows and derives
 #: as many mirrored ones per write, so memory holds one chunk whatever the
 #: depth
 CSV_CHUNK_ROWS = 4096
@@ -192,25 +192,14 @@ class Experiment:
         odd = np.zeros(1, dtype=bool)
         while odd.size < n:
             odd = np.concatenate([odd, ~odd])
-        # An even map's partition is its left half reflected: cell h + i is
-        # cell i negated, so its lo and hi are -hi_i and -lo_i, its length is
-        # length_i ((-a) - (-b) = b - a exactly) and its orientation flips.
-        # The bits decide, not ==: at eps = 0 Figure6 puts +0.0 on both
-        # sides of the critical value, whose mirror would be "-0.0".  A NaN,
-        # whose repr carries no sign, shows as a NaN length.
-        h = n // 2
-        mirrored = (not np.isnan(lengths).any()
-                    and np.array_equal(los[h:].view(np.uint64),
-                                       (-his[:h]).view(np.uint64))
-                    and np.array_equal(his[h:].view(np.uint64),
-                                       (-los[:h]).view(np.uint64)))
         header = ["word", "lo", "hi", "length", "orientation"]
         path = self.path(".csv")
 
         def chunks(spill):
             # the cells of rows [0, n), or of the left half with its mirror
-            # spilled, one chunk of rows at a time
-            stop = n if spill is None else h
+            # spilled (cell n/2 + i has lo -hi_i, hi -lo_i, length_i and the
+            # other orientation), one chunk of rows at a time
+            stop = n if spill is None else n // 2
             for start in range(0, stop, CSV_CHUNK_ROWS):
                 c = slice(start, min(start + CSV_CHUNK_ROWS, stop))
                 words = [format(i, word_fmt) for i in range(n)[c]]
@@ -223,7 +212,7 @@ class Experiment:
                         ["1" + w[1:] for w in words], _negated(hi),
                         _negated(lo), length, [("-1", "1")[o] for o in sign])))
 
-        if not mirrored:
+        if not part.mirrored:
             _write_csv(path, header, chunks(None))
         else:
             # the right half follows the whole left half, so it waits on

@@ -10,11 +10,11 @@ delta, so Newton's method on it from delta = 1, with no bracket, climbs
 to the root from below in a few steps; the cross-depth pair (delta at
 depth-1, delta at depth) brackets the systematic error.  A root reports the residual of
 its own numpy sum of ``r^delta``; ``pressure_sum`` is the compensated
-reference sum.  A mirror-symmetric preset (every power law, Figure6, and
-AsymQuadratic at beta = 0) builds levels whose right half repeats the left
-half's cell lengths exactly; there the root sums over the left half only
-and weights it by 2.  The sums then add in another order, which moves the
-root by at most about two ulps.
+reference sum.  A ``Partition.mirrored`` level (every power law, Figure6
+and AsymQuadratic at beta = 0) repeats its left half's cell lengths on the
+right exactly ((-a) - (-b) = b - a), so the root sums over the left half
+only and weights it by 2.  The sums then add in another order, which moves
+the root by at most about two ulps.
 """
 
 from __future__ import annotations
@@ -67,16 +67,11 @@ def _solve_delta(part: Partition, domain_length: float,
     within about log2(cells) ulps of the compensated ``pressure_sum`` one,
     and must be < ``tol``.
     """
-    lengths = part.lengths
-    half = lengths.size // 2
-    # a mirror-symmetric level repeats its left half's lengths on the
-    # right, so the sums run over the left half, weighted by 2 (exact)
-    mirrored = 2 * half == lengths.size and np.array_equal(lengths[:half],
-                                                          lengths[half:])
-    rel = lengths[:half] if mirrored else lengths
-    weight = 2.0 if mirrored else 1.0
+    weight = 2.0 if part.mirrored else 1.0
+    cells = len(part) // 2 if part.mirrored else len(part)
+    rel = part.his[:cells] - part.los[:cells]
     np.divide(rel, domain_length, out=rel)
-    log_r = rel[rel > 0.0]
+    log_r = rel = rel[rel > 0.0]  # frees ``rel`` before ``powers`` exists
     if not log_r.size:
         raise ConvergenceError(
             f"pressure root: every level-{part.depth} cell has length 0")

@@ -50,6 +50,9 @@ class MapFamily:
     kind: str = "base"
     #: the eps accepted by ``check_param``
     param_range: tuple[float, float] = (0.0, 1.0)
+    #: ``_inverse`` keeps g_1(y) = -g_0(y) bit for bit; a subclass that
+    #: overrides ``_inverse`` must keep that or set this False
+    _mirrored: bool = False
 
     def __init__(self, gamma: float, domain: tuple[float, float],
                  extra: dict | None = None):
@@ -162,6 +165,8 @@ class _PowerLaw(MapFamily):
     The inverse branches are ``-+((1 + eps - y) / (2 + eps))^(1/gamma)``.
     """
 
+    _mirrored = True
+
     def __init__(self, gamma: float, extra: dict | None = None):
         super().__init__(gamma=gamma, domain=(-1.0, 1.0), extra=extra)
 
@@ -245,14 +250,16 @@ class _EvenQuartic(MapFamily):
     preimage solves ``m u^2 + k u = crit - y`` in ``u = x^2`` with k > 0.
     """
 
+    _mirrored = True
+
     def _coeffs(self, eps: float, side: int) -> tuple[float, float, float]:
         raise NotImplementedError
 
     def _side_coeffs(self, eps, x):
         crit, k0, m0 = self._coeffs(eps, 0)
-        _, k1, m1 = self._coeffs(eps, 1)
-        if (k0, m0) == (k1, m1):
+        if self._mirrored:
             return crit, k0, m0
+        _, k1, m1 = self._coeffs(eps, 1)
         # the 0/1 view of the bool array indexes the two sides' values,
         # at half the cost of np.where on scalars
         side = (x > 0.0).view(np.uint8)
@@ -275,14 +282,15 @@ class _EvenQuartic(MapFamily):
         Here ``c = crit - y``; the root has no cancellation for either
         sign of ``m`` (Higham, Accuracy and Stability of Numerical
         Algorithms, sec. 1.8).  ``c`` is clamped at 0, where the preimage
-        is the critical point exactly; ``y = lo`` returns the domain
-        endpoint exactly, so nested cylinders telescope bit-for-bit.
+        is the critical point exactly: -0.0 on side 0 and +0.0 on side 1,
+        as for the power laws.  ``y = lo`` returns the domain endpoint
+        exactly, so nested cylinders telescope bit-for-bit.
         """
         crit, k, m = self._coeffs(eps, side)
         y = np.asarray(y, dtype=float)
         c = np.maximum(crit - y, 0.0)
         t = np.sqrt(2.0 * c / (k + np.sqrt(k * k + 4.0 * m * c)))
-        x = np.where(c == 0.0, 0.0, -t if side == 0 else t)
+        x = -t if side == 0 else t
         dlo, dhi = self.domain
         x = np.where(y == dlo, dlo if side == 0 else dhi, x)
         if out is None:
@@ -346,6 +354,7 @@ class AsymQuadratic(_EvenQuartic):
         super().__init__(gamma=2.0, domain=(-1.0, 1.0),
                          extra={"beta": float(beta)})
         self.beta = float(beta)
+        self._mirrored = self.beta == 0.0
 
     def _coeffs(self, eps, side):
         k = (2.0 + eps) * (1.0 + self.beta if side == 0 else 1.0 - self.beta)

@@ -36,6 +36,14 @@ def test_pressure_root_works_in_one_buffer_over_half_a_mirrored_level():
     assert peak <= 2.6 * level.los.nbytes
 
 
+def test_pressure_root_copies_the_positive_lengths_of_an_unmirrored_level():
+    # the full lengths array is dropped before the Newton buffer is made
+    level = cs.partition(cs.AsymQuadratic(0.3), 0.1, 14)
+    assert not level.mirrored
+    peak, _ = _peak_bytes(lambda: _solve_delta(level, 2.0))
+    assert peak <= 2.2 * level.los.nbytes
+
+
 def test_arcsin_h_allocates_only_its_output():
     x = np.random.default_rng(4).uniform(-1.0, 1.0, 2**15)
     m = cs.MetricChange(2.0, 0.0)

@@ -267,7 +267,7 @@ _preset_params = st.one_of(
     st.tuples(st.just("figure6"), st.fixed_dictionaries(
         {"c": st.floats(-0.06, 0.06), "normalize": st.booleans()})),
     st.tuples(st.just("asym_quadratic"), st.fixed_dictionaries(
-        {"beta": st.floats(-0.9, 0.9)})))
+        {"beta": st.just(0.0) | st.floats(-0.9, 0.9)})))
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -289,10 +289,32 @@ def test_unchecked_steps_match_the_checked_kernel(preset, data, steps, n, depth)
     column = tuple(sides[:, 0].tolist())
     assert np.array_equal(cs.apply_branches(family, eps, column, points),
                           _checked_chain(family, eps, column, points))
+    # the bits, not ==, so that the sign of a zero endpoint counts
     for level, (los, his) in zip(cs.partition_levels(family, eps, depth),
                                  _checked_levels(family, eps, depth),
                                  strict=True):
-        assert np.array_equal(level.los, los) and np.array_equal(level.his, his)
+        assert level.mirrored == family._mirrored
+        assert np.array_equal(level.los.view(np.uint64), los.view(np.uint64))
+        assert np.array_equal(level.his.view(np.uint64), his.view(np.uint64))
+
+
+@pytest.mark.parametrize("family,eps", [
+    (cs.Quadratic(), 0.0), (cs.Quadratic(), 0.3), (cs.Tent(), 1.0),
+    (cs.GammaPower(1.5), 0.2), (cs.GammaPower(3.0), 0.0),
+    (cs.Figure6(-0.03), 0.0), (cs.Figure6(0.05, normalize=False), 0.0),
+    (cs.AsymQuadratic(0.0), 0.0), (cs.AsymQuadratic(0.0), 0.2),
+    (cs.AsymQuadratic(0.3), 0.0), (cs.AsymQuadratic(0.3), 0.2)])
+def test_a_family_is_mirrored_when_its_checked_levels_mirror_bit_for_bit(
+        family, eps):
+    # cell 2^n + i of the four-call reference against cell i negated
+    mirror = True
+    for los, his in _checked_levels(family, eps, 8):
+        h = los.size // 2
+        mirror &= (np.array_equal(los[h:].view(np.uint64),
+                                  (-his[:h]).view(np.uint64))
+                   and np.array_equal(his[h:].view(np.uint64),
+                                      (-los[:h]).view(np.uint64)))
+    assert family._mirrored == mirror
 
 
 def test_a_chain_checks_only_its_first_step(monkeypatch):

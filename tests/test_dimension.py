@@ -100,7 +100,8 @@ def _mirrored_zero_cell_partitions():
     los = np.concatenate([left_los, -left_his])
     his = np.concatenate([left_his, -left_los])
     keep = his > los
-    return cs.Partition(2, los, his), cs.Partition(1, los[keep], his[keep])
+    return (cs.Partition(2, los, his, mirrored=True),
+            cs.Partition(1, los[keep], his[keep]))
 
 
 def _full_level_solve(part, domain_length):
@@ -120,13 +121,7 @@ def _full_level_solve(part, domain_length):
     return float(delta), residual, iterations
 
 
-def _is_mirrored(part):
-    lengths = part.lengths
-    half = lengths.size // 2
-    return np.array_equal(lengths[:half], lengths[half:])
-
-
-#: mirror-symmetric (family, eps): each level's right half repeats its left
+#: mirrored (family, eps): each level's right half repeats its left
 MIRRORED = [(cs.Quadratic(), 0.1), (cs.GammaPower(3.0), 0.2), (cs.Tent(), 0.3),
             (cs.Figure6(0.03), 0.0), (cs.AsymQuadratic(0.0), 0.2)]
 
@@ -135,7 +130,7 @@ MIRRORED = [(cs.Quadratic(), 0.1), (cs.GammaPower(3.0), 0.2), (cs.Tent(), 0.3),
 def test_half_level_root_matches_the_full_level_root(family, eps):
     dlen = _domain_length(family)
     for level in cs.partition_levels(family, eps, 16)[8:]:
-        assert _is_mirrored(level)
+        assert level.mirrored
         delta, residual, _ = _solve_delta(level, dlen)
         full, full_residual, _ = _full_level_solve(level, dlen)
         assert abs(delta - full) <= 2 * np.spacing(full)
@@ -145,7 +140,7 @@ def test_half_level_root_matches_the_full_level_root(family, eps):
 def test_an_unmirrored_level_takes_the_full_level_root_bit_for_bit():
     family, eps = cs.AsymQuadratic(-0.45), 0.3
     for level in cs.partition_levels(family, eps, 16)[8:]:
-        assert not _is_mirrored(level)
+        assert not level.mirrored
         assert _solve_delta(level, 2.0) == _full_level_solve(level, 2.0)
 
 
@@ -177,7 +172,7 @@ def test_tiling_root_is_exactly_one(family):
 
 def test_zero_length_cell_adds_nothing():
     plain, mirrored = _zero_cell_partitions(), _mirrored_zero_cell_partitions()
-    assert not _is_mirrored(plain[0]) and _is_mirrored(mirrored[0])
+    assert not plain[0].mirrored and mirrored[0].mirrored
     for with_zero, without in (plain, mirrored):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

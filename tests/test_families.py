@@ -244,12 +244,13 @@ def test_closed_form_returns_domain_endpoints_exactly(family, eps):
 
 @pytest.mark.parametrize("family", [
     cs.Figure6(-0.06), cs.Figure6(0.05, normalize=False),
-    cs.AsymQuadratic(0.3)])
+    cs.AsymQuadratic(0.3), cs.Quadratic(), cs.GammaPower(3.0), cs.Tent()])
 def test_closed_form_returns_zero_at_critical_value(family):
+    # -0.0 on the left branch and +0.0 on the right, so g_1 = -g_0 there too
     crit = family.critical_value(0.0)
-    for side in (0, 1):
+    for side, sign in ((0, -1.0), (1, 1.0)):
         x = family.inverse_branch(0.0, side, crit)
-        assert x == 0.0 and math.copysign(1.0, x) == 1.0
+        assert x == 0.0 and math.copysign(1.0, x) == sign
 
 
 @pytest.mark.parametrize("family,eps", [
