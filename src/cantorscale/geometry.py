@@ -12,6 +12,7 @@ constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -169,9 +170,17 @@ def asymptotic_gap_fit(family: MapFamily, eps_grid, depth: int = 0) -> GapFit:
     return fit
 
 
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of n grid points, read-only and shared."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _holder_constant(xs: np.ndarray, vals: np.ndarray, alpha: float) -> float:
     """Max difference quotient |v(x)-v(y)| / |x-y|^alpha over grid pairs."""
-    i, j = np.triu_indices(len(xs), 1)   # |v(x)-v(y)| is |v(y)-v(x)| bit for bit
+    i, j = _pairs(len(xs))   # |v(x)-v(y)| is |v(y)-v(x)| bit for bit
     d, h = np.abs(vals[i] - vals[j]), np.abs(xs[i] - xs[j]) ** alpha
     mask = h > 0
     return float(np.max(d[mask] / h[mask])) if np.any(mask) else 0.0

@@ -270,7 +270,7 @@ SUITE_PINS = [
     (200, 200, "1.0001470841169404",
      "4931dda497efe85a859fea32abdb29286ef0a83f58343373baca912b01019d42"),
     (100, 100, "1.0062679401895966",
-     "f1addab8d80607cf3e7fc241f232ecaa362c35159a3b485b04c402b4fccef063"),
+     "50b777b7efbf97ad8a5e41fa64a3731a78724fc266c31a6b47b5b30e72da6360"),
     (100, 100, "1.1739650635678256",
      "28b61ae4007f335d7c6215de062c7d30bcd3f06c27fba36f884eb461a56f1801"),
     (15, 15, "1.040142639616556",

@@ -33,7 +33,7 @@ def test_h_examples():
     assert m.h(1.0) == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0, 40.0])
 @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
 def test_round_trip(gamma, eps):
     m = cs.MetricChange(gamma, eps)
@@ -54,6 +54,33 @@ def test_h_and_h_inv_keep_array_shape(gamma):
     back = m.h_inv(ys)
     assert back.shape == (2, 3)
     assert back.tolist() == [[m.h_inv(y) for y in row] for row in ys.tolist()]
+
+
+@pytest.mark.parametrize("gamma", [1.5, 3.0, 40.0])
+def test_a_point_does_not_depend_on_the_points_evaluated_with_it(gamma):
+    # 10^4 points span three blocks of series terms; every split of them,
+    # and every single point, gives the same bits
+    m, rng = cs.MetricChange(gamma, 0.1), np.random.default_rng(7)
+    xs, ys = rng.uniform(-1.1, 1.1, 10**4), rng.uniform(-1.0, 1.0, 10**4)
+    hx, hy = m.h(xs), m.h_inv(ys)
+    for k in (1, 4095, 4096, 7000):
+        assert np.array_equal(np.concatenate([m.h(xs[:k]), m.h(xs[k:])]), hx)
+        back = np.concatenate([m.h_inv(ys[:k]), m.h_inv(ys[k:])])
+        assert np.array_equal(back, hy)
+    assert [m.h(x) for x in xs[::97]] == hx[::97].tolist()
+    assert [m.h_inv(y) for y in ys[::97]] == hy[::97].tolist()
+
+
+@pytest.mark.parametrize("gamma", [1.0 + 1e-9, 1e5])
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 0.3])
+def test_round_trip_at_extreme_gamma(gamma, eps):
+    # near gamma = 1 the metric is almost linear; at large gamma h climbs
+    # within 1/gamma of the reach, where the inverse solves for w^(1/gamma) - 1
+    m = cs.MetricChange(gamma, eps)
+    xs = np.linspace(-1.0, 1.0, 1001)
+    assert np.max(np.abs(m.h_inv(m.h(xs)) - xs)) <= 4 * np.spacing(1.0)
+    assert (m.h(1.0), m.h(-1.0), m.h_inv(1.0), m.h_inv(-1.0)) == (1.0, -1.0,
+                                                                  1.0, -1.0)
 
 
 def _arcsin_h(m, x):
@@ -98,8 +125,9 @@ def test_h_edges(gamma, eps):
 
 
 def test_metric_requires_gamma_above_one():
-    with pytest.raises(cs.DomainError):
-        cs.MetricChange(1.0, 0.0)
+    for gamma in (1.0, math.inf, math.nan):
+        with pytest.raises(cs.DomainError):
+            cs.MetricChange(gamma, 0.0)
     with pytest.raises(cs.DomainError):
         cs.tilde_eval(cs.Tent(), 0.0, 0.3)
 
@@ -200,7 +228,7 @@ def test_decay_rate_equivalence():
 
 ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
 BETA_GAMMAS = [1.5, 2.0001, 3.0, 4.0]
-BETA_EPS = [0.0, 0.1, 0.5]
+BETA_EPS = [0.0, 1e-9, 1e-6, 0.1, 0.5]
 
 
 def _oracles():
@@ -282,32 +310,35 @@ def test_short_h_images_match_mpmath(gamma, eps, length):
         assert abs(float((y_hi - y_lo) - exact)) <= 32 * ulp, x
 
 
-def test_the_metric_does_not_import_scipy_integrate(tmp_path):
-    # one fresh interpreter: scipy stays out until a gamma != 2 metric is
-    # built, and then only scipy.special comes in
+def test_the_package_imports_no_scipy(tmp_path):
+    # one fresh interpreter: the package, its CLI and a gamma != 2 metric
+    # change with h and h^{-1}, in the library and through metric-check,
+    # load no scipy module at all
     code = textwrap.dedent("""
         import json, sys
         import cantorscale, cantorscale.cli
 
-        def scipy_modules():
-            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
-
-        assert not scipy_modules(), scipy_modules()
-        m = cantorscale.MetricChange(2.0, 0.1)
-        m.h(0.5), m.h_inv(0.5)
         quad = cantorscale.Quadratic()
         cantorscale.hd_estimate(quad, 0.1, 8)
         cantorscale.gap_geometry(quad, 0.1, 4)
-        cfg = sys.argv[1] + "/cfg.json"
-        with open(cfg, "w") as fh:
-            json.dump({"command": "partition", "family": {"kind": "quadratic"},
-                       "epsilon": 0.1, "depth": 4}, fh)
-        assert cantorscale.cli.main(["--config", cfg, "--out", sys.argv[1]]) == 0
-        assert not scipy_modules(), scipy_modules()
+        m = cantorscale.MetricChange(2.0, 0.1)
+        m.h(0.5), m.h_inv(0.5)
+        cantorscale.estimate_constants(cantorscale.GammaPower(3.0), 0.2)
+        for i, config in enumerate([
+                {"command": "partition", "family": {"kind": "quadratic"},
+                 "epsilon": 0.1, "depth": 4},
+                {"command": "metric-check", "epsilon": 0.1, "family": {
+                    "kind": "gamma_power", "params": {"gamma": 3.0}}}]):
+            cfg = f"{sys.argv[1]}/cfg{i}.json"
+            with open(cfg, "w") as fh:
+                json.dump(config, fh)
+            assert cantorscale.cli.main(["--config", cfg,
+                                         "--out", sys.argv[1]]) == 0
         m = cantorscale.MetricChange(3.0, 0.1)
-        assert "scipy.special" in sys.modules
-        assert "scipy.integrate" not in sys.modules
-        print(json.dumps([m.b, m.h(0.5), m.h_inv(0.5)]))
+        values = [m.b, m.h(0.5), m.h_inv(0.5)]
+        scipy = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+        assert not scipy, scipy
+        print(json.dumps(values))
     """)
     src = str(Path(cs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
