@@ -94,6 +94,9 @@ class _Beta:
         self.inner = s * self.series(s * s, np.zeros(s.size, dtype=bool)), s
         self.outer = (self.g0 * e + (1.0 + e) * w
                       * self.series(w, np.ones(e.size, dtype=bool)), e)
+        # shared by every MetricChange of this gamma through the cache
+        for a in (self.ratios, *self.inner, *self.outer):
+            a.flags.writeable = False
 
     def power(self, e):
         """w = (1 + e)^gamma, to a few ulps even where gamma e is not small."""
@@ -165,12 +168,6 @@ def _beta(gamma: float) -> _Beta:
     return _Beta(gamma)
 
 
-@functools.lru_cache(maxsize=256)
-def _reach_mass(gamma: float, eps: float) -> float:
-    """F(1/r) along the path of x = 1, so that h(1) = 1 exactly."""
-    return float(_beta(gamma).mass(1.0, 1.0 + eps))
-
-
 class MetricChange:
     """The coordinate change h for one (gamma, eps), with h', h^{-1}.
 
@@ -191,7 +188,8 @@ class MetricChange:
             self.b = 1.0 / self._asin_scale
         else:
             self._beta = _beta(self.gamma)
-            self._f_reach = _reach_mass(self.gamma, self.eps)
+            # F(1/r) along the path of x = 1, so that h(1) = 1 exactly
+            self._f_reach = float(self._beta.mass(1.0, 1.0 + self.eps))
             self.b = 1.0 / ((1.0 + self.eps) ** (2.0 / self.gamma - 1.0)
                             * self._f_reach)
 
