@@ -15,6 +15,11 @@ The config is a single JSON document::
       "output": "run1"           // optional artifact name prefix
     }
 
+Every key is checked when the config is read, whether the command reads it
+or not; ``samples`` lies in [1, 100000], and the key a command needs
+(``dual_point``, or a non-empty ``epsilon_grid``) must be given.  metric-check
+refuses Tent and raw-domain families, as the conjugate-map functions do.
+
 Exit status: 0 success, 1 validation failure, 2 numerical non-convergence.
 Numbers are written with Python's shortest round-trip decimal rendering,
 so a fixed config and seed produce byte-identical artifacts.
@@ -35,16 +40,22 @@ import numpy as np
 from . import branches, dimension, geometry, scaling
 from .errors import CantorScaleError, ConvergenceError
 from .families import family_from_spec
-from .symbolic import DualPoint, parse_dual_point
+from .metric import _metric_for, tilde_eval
+from .symbolic import parse_dual_point
 
 COMMANDS = ("partition", "scaling-graph", "scaling-point", "gap-fit",
             "dimension-curve", "metric-check", "distortion-check",
             "jump-report", "invariants")
 CONFIG_KEYS = ("command", "family", "depth", "epsilon", "epsilon_grid",
                "seed", "samples", "dual_point", "output")
+#: the key each command needs that has no default
+REQUIRED_KEYS = {"scaling-point": "dual_point", "jump-report": "dual_point",
+                 "gap-fit": "epsilon_grid", "dimension-curve": "epsilon_grid"}
 #: the chain commands stop at the length floor, which binary64 cylinders
 #: reach by depth ~40, so a deeper config asks for nothing more
 MAX_DEPTH = 1000
+#: distortion-check holds about 1.2 kB a sample: this caps it near 120 MB
+MAX_SAMPLES = 100_000
 #: rows of the partition and scaling-graph CSVs formatted per write; a
 #: mirrored partition formats this many left-half rows and derives
 #: as many mirrored ones per write, so memory holds one chunk whatever the
@@ -140,17 +151,27 @@ class Experiment:
         grid = cfg.get("epsilon_grid")
         if grid is not None and not isinstance(grid, list):
             raise ConfigError(f"key 'epsilon_grid': expected a list, got {grid!r}")
-        self.eps_grid = (None if grid is None
-                         else [check(_real("epsilon_grid", e)) for e in grid])
-        if self.eps_grid is not None and any(
-                b <= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
+        self.eps_grid = [check(_real("epsilon_grid", e)) for e in grid or ()]
+        if any(b <= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
             raise ConfigError("key 'epsilon_grid': grid must be strictly increasing")
         self.seed = _integer("seed", cfg.get("seed", 0))
         if self.seed < 0:
             raise ConfigError(f"key 'seed': expected a non-negative integer, "
                               f"got {self.seed}")
-        self.dual_point_text = cfg.get("dual_point")
         self.n_samples = _integer("samples", cfg.get("samples", 1000))
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ConfigError(f"key 'samples': {self.n_samples} outside "
+                              f"[1, {MAX_SAMPLES}]")
+        self.dual_point_text = text = cfg.get("dual_point")
+        if text is not None and not isinstance(text, str):
+            raise ConfigError(f"key 'dual_point': expected a string, got {text!r}")
+        try:
+            self.dual_point = None if text is None else parse_dual_point(text)
+        except ValueError as exc:
+            raise ConfigError(f"key 'dual_point': {exc}") from exc
+        required = REQUIRED_KEYS.get(self.command)
+        if required is not None and not cfg.get(required):
+            raise ConfigError(f"missing key {required!r}")
         self.prefix = cfg.get("output", self.command.replace("-", "_"))
         # a plain file name, so that the artifacts stay inside out_dir
         if (not isinstance(self.prefix, str) or self.prefix in ("", ".", "..")
@@ -162,22 +183,6 @@ class Experiment:
     def path(self, suffix: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / f"{self.prefix}{suffix}"
-
-    def dual_point(self) -> DualPoint:
-        text = self.dual_point_text
-        if text is None:
-            raise ConfigError("missing key 'dual_point'")
-        if not isinstance(text, str):
-            raise ConfigError(f"key 'dual_point': expected a string, got {text!r}")
-        try:
-            return parse_dual_point(text)
-        except ValueError as exc:
-            raise ConfigError(f"key 'dual_point': {exc}") from exc
-
-    def grid(self) -> list[float]:
-        if not self.eps_grid:
-            raise ConfigError("missing key 'epsilon_grid'")
-        return self.eps_grid
 
     # -- commands ---------------------------------------------------------
 
@@ -243,7 +248,7 @@ class Experiment:
                 f"s_range=[{s.min():.4f},{s.max():.4f}]")
 
     def cmd_scaling_point(self) -> str:
-        est = scaling.scale_at(self.family, self.eps, self.dual_point(),
+        est = scaling.scale_at(self.family, self.eps, self.dual_point,
                                self.depth)
         _write_json(self.path(".json"), {
             "dual_point": str(est.dual_point),
@@ -259,7 +264,7 @@ class Experiment:
         return f"scaling-point value={est.value:.8f} +- {est.error_bound:.2e}"
 
     def cmd_gap_fit(self) -> str:
-        fit = geometry.asymptotic_gap_fit(self.family, self.grid(),
+        fit = geometry.asymptotic_gap_fit(self.family, self.eps_grid,
                                           depth=min(self.depth, 8))
         _write_json(self.path(".json"), {
             "slope": fit.slope,
@@ -272,7 +277,7 @@ class Experiment:
         return f"gap-fit slope={fit.slope:.4f} band={fit.band}"
 
     def cmd_dimension_curve(self) -> str:
-        ests, slope = dimension.hd_curve(self.family, self.grid(), self.depth)
+        ests, slope = dimension.hd_curve(self.family, self.eps_grid, self.depth)
         columns = zip(*[(e.epsilon, e.delta, *e.bracket) for e in ests])
         _write_csv(self.path(".csv"),
                    ["epsilon", "delta", "bracket_lo", "bracket_hi"],
@@ -282,16 +287,14 @@ class Experiment:
         return f"dimension-curve slope={slope:.4f} points={len(ests)}"
 
     def cmd_metric_check(self) -> str:
-        from .metric import MetricChange, tilde_eval
-        m = MetricChange(self.family.gamma, self.eps)
+        m = _metric_for(self.family, self.eps)
         xs = np.linspace(-1.0, 1.0, 201)
         round_trip = float(np.max(np.abs(m.h_inv(np.asarray(m.h(xs))) - xs)))
         payload = {"gamma": self.family.gamma, "epsilon": self.eps,
                    "b": m.b, "round_trip_max_error": round_trip}
         if self.family.kind == "quadratic" and self.eps == 0.0:
             ys = np.linspace(-1.0, 1.0, 201)
-            conj = np.max(np.abs(np.asarray(tilde_eval(self.family, 0.0, ys,
-                                                       metric=m))
+            conj = np.max(np.abs(np.asarray(tilde_eval(self.family, 0.0, ys))
                                  - (1.0 - 2.0 * np.abs(ys))))
             payload["tent_conjugacy_max_error"] = float(conj)
         _write_json(self.path(".json"), payload)
@@ -300,9 +303,8 @@ class Experiment:
         return f"metric-check round_trip={round_trip:.2e}"
 
     def cmd_distortion_check(self) -> str:
-        if min(self.n_samples, self.depth) < 1:
-            key = "samples" if self.n_samples < 1 else "depth"
-            raise ConfigError(f"key {key!r}: distortion-check needs at least 1")
+        if self.depth < 1:
+            raise ConfigError("key 'depth': distortion-check needs at least 1")
         n_pass, n_total, worst, _ = geometry.distortion_suite(
             self.family, self.eps, self.n_samples,
             max_word_len=min(self.depth, 15), seed=self.seed)
@@ -315,7 +317,7 @@ class Experiment:
         return f"distortion-check passed={n_pass}/{n_total} margin={worst:.3g}"
 
     def cmd_jump_report(self) -> str:
-        analysis = scaling.jump_at(self.family, self.dual_point(), self.depth)
+        analysis = scaling.jump_at(self.family, self.dual_point, self.depth)
         # tau divides by c_n, which is 0 where the cell touches the left end
         tau1, tau2 = (_fmt(t) if math.isfinite(t) else "undefined"
                       for t in (analysis.tau1, analysis.tau2))

@@ -22,6 +22,7 @@ from .branches import (Word, apply_branches, cylinder, decay_rate,
                        partition_levels)
 from .errors import ConvergenceError, DomainError
 from .families import MapFamily
+from .metric import _metric_for, _tilde_deriv_at
 
 #: pairs closer to the boundary than this are excluded from distortion
 #: sampling: the uniform bound degenerates as d_xy -> 0
@@ -236,8 +237,7 @@ def _estimate_constants(family: MapFamily, eps: float, levels):
         c2 = c3 = 1.0
         K2 = K3 = 0.0
     else:
-        from .metric import MetricChange, _tilde_deriv_at
-        m = MetricChange(g, eps)
+        m = _metric_for(family, eps)
         # rows: the open middle intervals (a, 0) and (0, d)
         xs = np.linspace((a_pt, 0.0), (0.0, d_pt), CONSTANT_SAMPLES + 2,
                          axis=1)[:, 1:-1]

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import DomainError
 from .families import MapFamily
+from .scaling import scale_at
 from .symbolic import DualPoint
 
 
@@ -242,6 +243,7 @@ class MetricChange:
 
 
 def _metric_for(family: MapFamily, eps: float) -> MetricChange:
+    """The metric h of ``family`` at ``eps``: the one place that builds it."""
     eps = family.check_param(eps)
     if family.domain != (-1.0, 1.0):
         raise DomainError("metric operations need the normalized domain [-1, 1]")
@@ -251,10 +253,9 @@ def _metric_for(family: MapFamily, eps: float) -> MetricChange:
     return MetricChange(family.gamma, eps)
 
 
-def tilde_eval(family: MapFamily, eps: float, y,
-               metric: MetricChange | None = None):
-    """f~(y) = h(f(h^{-1}(y)))."""
-    m = metric if metric is not None else _metric_for(family, eps)
+def tilde_eval(family: MapFamily, eps: float, y):
+    """f~(y) = h(f(h^{-1}(y))), with h the family's metric at eps."""
+    m = _metric_for(family, eps)
     x = m.h_inv(y)
     # for eps > 0 the image reaches 1 + eps, where h still extends
     fx = np.clip(family.eval(eps, x), -1.0, 1.0 + eps)
@@ -262,10 +263,9 @@ def tilde_eval(family: MapFamily, eps: float, y,
 
 
 def tilde_deriv(family: MapFamily, eps: float, y,
-                side: int | None = None,
-                metric: MetricChange | None = None) -> float:
+                side: int | None = None) -> float:
     """f~'(y) by the chain rule, with one-sided limits at y in {-1, 0, 1}."""
-    m = metric if metric is not None else _metric_for(family, eps)
+    m = _metric_for(family, eps)
     g = family.gamma
     p = (g - 1.0) / g
     y = float(y)
@@ -314,10 +314,6 @@ def nonlinearity_tilde_q(eps: float, y) -> float:
     return float(val) if val.ndim == 0 else val
 
 
-def tilde_scaling(family: MapFamily, eps: float, a: DualPoint, depth: int,
-                  metric: MetricChange | None = None):
+def tilde_scaling(family: MapFamily, eps: float, a: DualPoint, depth: int):
     """Scaling estimate of the conjugate map: ratios of h-image lengths."""
-    from .scaling import scale_at
-
-    m = metric if metric is not None else _metric_for(family, eps)
-    return scale_at(family, eps, a, depth, metric=m)
+    return scale_at(family, eps, a, depth, metric=_metric_for(family, eps))

@@ -40,9 +40,8 @@ def b_points(count: int):
 
 def test_01_tent_conjugacy(report):
     q = cs.Quadratic()
-    m = cs.MetricChange(2.0, 0.0)
     ys = np.linspace(-1.0, 1.0, 1000)
-    err = float(np.max(np.abs(np.asarray(cs.tilde_eval(q, 0.0, ys, metric=m))
+    err = float(np.max(np.abs(np.asarray(cs.tilde_eval(q, 0.0, ys))
                               - (1.0 - 2.0 * np.abs(ys)))))
     report("tent conjugacy", err <= 1e-8, f"max error {err:.2e} over 1000 pts")
 

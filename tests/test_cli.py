@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cantorscale
-from cantorscale.cli import main
+from cantorscale.cli import MAX_SAMPLES, REQUIRED_KEYS, main
 
 
 def run_cli(tmp_path, cfg, name="cfg.json"):
@@ -373,7 +373,8 @@ def test_bad_config_value_types_exit_1(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("samples", 0), ("samples", -3), ("depth", 0)])
+    ("samples", 0), ("samples", -3), ("samples", MAX_SAMPLES + 1),
+    ("depth", 0)])
 def test_distortion_check_needs_a_sample_and_a_branch(tmp_path, capsys, key,
                                                       value):
     cfg = {"command": "distortion-check", "family": {"kind": "quadratic"},
@@ -381,6 +382,31 @@ def test_distortion_check_needs_a_sample_and_a_branch(tmp_path, capsys, key,
     assert run_cli(tmp_path, cfg) == 1
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "distortion_check.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dual_point", 7), ("dual_point", "garbage"), ("samples", -5)])
+def test_every_key_is_checked_whatever_the_command(tmp_path, capsys, key,
+                                                   value):
+    # partition reads neither key, yet a bad value of either is refused
+    cfg = {"command": "partition", "family": {"kind": "quadratic"},
+           "depth": 3, key: value}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err.startswith(f"error: key {key!r}")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command,given", [
+    ("scaling-point", {}), ("jump-report", {"dual_point": None}),
+    ("gap-fit", {}), ("dimension-curve", {"epsilon_grid": []})])
+def test_a_command_without_its_required_key_exits_1(tmp_path, capsys,
+                                                    command, given):
+    cfg = {"command": command, "family": {"kind": "quadratic"}, "depth": 4,
+           **given}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == (
+        f"error: missing key {REQUIRED_KEYS[command]!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("output", [
@@ -413,6 +439,17 @@ def test_output_plain_name_is_written_inside_out(tmp_path):
 def test_epsilon_outside_the_family_range_exits_1(tmp_path, capsys, cfg):
     assert run_cli(tmp_path, cfg) == 1
     assert "outside" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_metric_check_refuses_a_raw_domain_family(tmp_path, capsys):
+    # built as the conjugate-map functions build it, the metric needs [-1, 1]
+    cfg = {"command": "metric-check",
+           "family": {"kind": "figure6",
+                      "params": {"c": 0.03, "normalize": False}}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == (
+        "error: metric operations need the normalized domain [-1, 1]\n")
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 

@@ -416,7 +416,7 @@ def _conjugate_derivative_bounds(family, eps, alpha):
     for lo_x, hi_x in ((float(eta2.los[2]), 0.0), (0.0, float(eta2.his[6]))):
         xs = np.linspace(lo_x, hi_x, CONSTANT_SAMPLES + 2)[1:-1]
         ys = np.asarray(m.h(xs))
-        td = np.abs([cs.tilde_deriv(family, eps, float(y), metric=m) for y in ys])
+        td = np.abs([cs.tilde_deriv(family, eps, float(y)) for y in ys])
         c2 = min(c2, float(np.min(td)))
         K2 = max(K2, _holder_constant(ys, td, alpha))
     return c2, K2

@@ -111,6 +111,8 @@ def test_h_edges(gamma, eps):
                 [[0.0, -reach - 2e-12], [math.nan, 0.5]]):
         with pytest.raises(cs.DomainError):
             m.h(bad)
+    with pytest.raises(cs.DomainError, match=r"h_inv defined on \[-1, 1\]"):
+        m.h_inv(1.5)
     assert m.h(reach + 5e-13) == m.h(reach) and m.h(-reach - 5e-13) == m.h(-reach)
     assert math.isnan(m.h(math.nan))
     assert np.isnan(m.h(np.asarray([0.5, math.nan])))[1]
@@ -130,6 +132,16 @@ def test_metric_requires_gamma_above_one():
             cs.MetricChange(gamma, 0.0)
     with pytest.raises(cs.DomainError):
         cs.tilde_eval(cs.Tent(), 0.0, 0.3)
+
+
+def test_tilde_functions_refuse_a_raw_domain_family():
+    # each builds the family's own metric, which needs the domain [-1, 1]
+    raw, a = cs.Figure6(0.03, normalize=False), cs.DualPoint((), (1, 0))
+    for call in (lambda: cs.tilde_eval(raw, 0.0, 0.3),
+                 lambda: cs.tilde_deriv(raw, 0.0, 0.3),
+                 lambda: cs.tilde_scaling(raw, 0.0, a, 10)):
+        with pytest.raises(cs.DomainError, match="normalized domain"):
+            call()
 
 
 @pytest.mark.parametrize("gamma", [2.0, 3.0])
@@ -169,12 +181,11 @@ def test_tilde_deriv_examples():
     (cs.GammaPower(3.0), 0.2),
 ])
 def test_tilde_deriv_matches_finite_differences(family, eps):
-    m = cs.MetricChange(family.gamma, eps)
     h = 1e-6
     for y in [-0.9, -0.6, -0.3, -0.12, 0.17, 0.45, 0.8]:
-        fd = (cs.tilde_eval(family, eps, y + h, metric=m)
-              - cs.tilde_eval(family, eps, y - h, metric=m)) / (2 * h)
-        d = cs.tilde_deriv(family, eps, y, metric=m)
+        fd = (cs.tilde_eval(family, eps, y + h)
+              - cs.tilde_eval(family, eps, y - h)) / (2 * h)
+        d = cs.tilde_deriv(family, eps, y)
         assert d == pytest.approx(fd, rel=1e-5)
 
 

@@ -183,6 +183,12 @@ def test_jump_limits_match_direct_estimates():
                    abs(direct - ja.one_sided_limits[1])) < 1e-2
 
 
+def test_jump_at_merges_explicit_trailing_zeros_into_the_tail():
+    q = cs.Quadratic()
+    assert (cs.jump_at(q, cs.DualPoint((1, 0, 0), "zeros"), 25)
+            == cs.jump_at(q, cs.DualPoint((1,), "zeros"), 25))
+
+
 def test_jump_requires_a_point():
     with pytest.raises(cs.DomainError):
         cs.jump_at(cs.Quadratic(), cs.DualPoint((), (1, 0)), 20)

@@ -41,6 +41,13 @@ def test_parse_and_render_round_trip():
         cs.parse_dual_point("10110")
 
 
+def test_equal_dual_points_hash_equal():
+    a, b = cs.DualPoint((1, 0), "zeros"), cs.parse_dual_point("0^inf|01.")
+    assert a == b and hash(a) == hash(b)
+    # a set keeps one of the two; another tail is another point
+    assert len({a, b, cs.DualPoint((1, 0), (1, 0))}) == 2
+
+
 def test_point_from_code_examples():
     q = cs.Quadratic()
     x, bound = cs.point_from_code(q, 0.0, cs.Code((), "zeros"), 15)
