@@ -18,7 +18,7 @@ The config is a single JSON document::
 Every key is checked when the config is read, whether the command reads it
 or not; ``samples`` lies in [1, 100000], and the key a command needs
 (``dual_point``, or a non-empty ``epsilon_grid``) must be given.  metric-check
-refuses Tent and raw-domain families, as the conjugate-map functions do.
+refuses Tent, as the conjugate-map functions do.
 
 Exit status: 0 success, 1 validation failure, 2 numerical non-convergence.
 Numbers are written with Python's shortest round-trip decimal rendering,
@@ -271,6 +271,7 @@ class Experiment:
             "slope_max": fit.slope_max,
             "slope_min": fit.slope_min,
             "band": list(fit.band),
+            "depth": min(self.depth, 8),
             "rows": [{"epsilon": e, "leading_gap_ratio": r}
                      for e, r in zip(fit.eps, fit.leading_ratios)],
         })

@@ -1,11 +1,11 @@
 """Hausdorff-dimension estimation via the depth-n pressure equation.
 
-The estimator is the root of the normalized Moran/pressure sum
+The estimator is the root of the Moran/pressure sum of relative lengths
 
-    sum over words of length n+1 of (|I_w| / |domain|)^delta = 1,
+    sum over words of length n+1 of (|I_w| / 2)^delta = 1,
 
-which returns exactly delta = 1 when the cylinders tile the whole
-interval.  The logarithm of the sum is convex and strictly decreasing in
+which returns exactly delta = 1 when the cylinders tile the whole domain
+[-1, 1].  The logarithm of the sum is convex and strictly decreasing in
 delta, so Newton's method on it from delta = 1, with no bracket, climbs
 to the root from below in a few steps; the cross-depth pair (delta at
 depth-1, delta at depth) brackets the systematic error.  A root reports the residual of
@@ -43,17 +43,15 @@ class DimensionEstimate:
     iterations: int        # Newton steps of the depth-``depth`` root
 
 
-def pressure_sum(part: Partition, delta: float,
-                 domain_length: float = 2.0) -> float:
+def pressure_sum(part: Partition, delta: float) -> float:
     """Compensated sum of relative cylinder lengths to the power delta."""
     if not 0.0 <= delta <= 2.0:
         raise DomainError("delta must lie in [0, 2]")
-    rel = part.lengths / domain_length
+    rel = part.lengths / 2.0
     return math.fsum((rel ** delta).tolist())
 
 
-def _solve_delta(part: Partition, domain_length: float,
-                 tol: float = 1e-10) -> tuple[float, float, int]:
+def _solve_delta(part: Partition, tol: float = 1e-10) -> tuple[float, float, int]:
     """Newton root of F(delta) = log sum r^delta, from delta = 1.
 
     Returns ``(delta, residual, iterations)``.  F is convex and decreasing,
@@ -70,7 +68,7 @@ def _solve_delta(part: Partition, domain_length: float,
     weight = 2.0 if part.mirrored else 1.0
     cells = len(part) // 2 if part.mirrored else len(part)
     rel = part.his[:cells] - part.los[:cells]
-    np.divide(rel, domain_length, out=rel)
+    np.divide(rel, 2.0, out=rel)
     log_r = rel = rel[rel > 0.0]  # frees ``rel`` before ``powers`` exists
     if not log_r.size:
         raise ConvergenceError(
@@ -99,9 +97,8 @@ def hd_estimate(family: MapFamily, eps: float, depth: int) -> DimensionEstimate:
     if depth < 6:
         raise DomainError("hd_estimate needs depth >= 6")
     levels = partition_levels(family, eps, depth)
-    dlen = family.domain[1] - family.domain[0]
-    d_prev, _, _ = _solve_delta(levels[depth - 1], dlen)
-    d_last, residual, iterations = _solve_delta(levels[depth], dlen)
+    d_prev, _, _ = _solve_delta(levels[depth - 1])
+    d_last, residual, iterations = _solve_delta(levels[depth])
     lo, hi = sorted((d_prev, d_last))
     return DimensionEstimate(epsilon=eps, depth=depth, delta=d_last,
                              bracket=(lo, hi), residual=residual,

@@ -1,19 +1,21 @@
 """Unimodal map families with a power-law critical point.
 
-Every family is a one-parameter collection ``f_eps`` of unimodal maps of a
-symmetric interval ``[lo, hi]`` (``hi = -lo``) with critical point at 0:
-``f_eps`` is strictly increasing on ``[lo, 0]``, strictly decreasing on
-``[0, hi]``, maps both endpoints to ``lo`` and the critical point to the
-top of the range (``1 + eps`` on the normalized domain ``[-1, 1]``).
+Every family is a one-parameter collection ``f_eps`` of unimodal maps of
+the interval ``[-1, 1]`` with critical point at 0: ``f_eps`` is strictly
+increasing on ``[-1, 0]``, strictly decreasing on ``[0, 1]``, maps both
+endpoints to -1 and the critical point to the top of the range, ``1 +
+eps``.  Every preset shares this one domain, so the absolute tolerances of
+the package (the 1e-12 slack of ``check_domain``, ``scaling.LENGTH_FLOOR``,
+``geometry.MIN_BOUNDARY_DISTANCE``) are lengths on ``[-1, 1]``.
 
 Built-in presets:
 
 * ``quadratic``            -- ``1 + eps - (2 + eps) x^2``
 * ``gamma_power(gamma)``   -- ``1 + eps - (2 + eps) |x|^gamma``
 * ``figure6(c)``           -- the quartic ``-x^2 + 2 + c x^2 (4 - x^2)``
-  on ``[-2, 2]``, affinely rescaled to ``[-1, 1]`` by default; the
-  critical value always equals the right endpoint value, so ``eps = 0``
-  and ``c`` is the sweep parameter.
+  on ``[-2, 2]``, affinely rescaled to ``[-1, 1]``; the critical value
+  always equals the right endpoint value, so ``eps = 0`` and ``c`` is the
+  sweep parameter.
 * ``tent``                 -- ``1 + eps - (2 + eps) |x|``, the piecewise
   linear degenerate (``gamma = 1``) oracle.
 * ``asym_quadratic(beta)`` -- a quartic perturbation of the quadratic with
@@ -48,16 +50,15 @@ class MapFamily:
     """Base class for the presets.  Subclasses fill in closed forms."""
 
     kind: str = "base"
+    domain: tuple[float, float] = (-1.0, 1.0)
     #: the eps accepted by ``check_param``
     param_range: tuple[float, float] = (0.0, 1.0)
     #: ``_inverse`` keeps g_1(y) = -g_0(y) bit for bit; a subclass that
     #: overrides ``_inverse`` must keep that or set this False
     _mirrored: bool = False
 
-    def __init__(self, gamma: float, domain: tuple[float, float],
-                 extra: dict | None = None):
+    def __init__(self, gamma: float, extra: dict | None = None):
         self.gamma = float(gamma)
-        self.domain = (float(domain[0]), float(domain[1]))
         self.extra = dict(extra or {})
 
     # -- validation -------------------------------------------------------
@@ -167,9 +168,6 @@ class _PowerLaw(MapFamily):
 
     _mirrored = True
 
-    def __init__(self, gamma: float, extra: dict | None = None):
-        super().__init__(gamma=gamma, domain=(-1.0, 1.0), extra=extra)
-
     def _eval_raw(self, eps, x):
         x = np.asarray(x, dtype=float)
         return 1.0 + eps - (2.0 + eps) * np.abs(x) ** self.gamma
@@ -226,13 +224,15 @@ class Tent(_PowerLaw):
         super().__init__(1.0)
 
     def deriv(self, eps, x, side=None):
+        """f_eps'(x); at x = 0 the slope of ``side``, which may also be an
+        array of sides that broadcasts against x."""
         eps = self.check_param(eps)
         self.check_domain(x)
         x_arr = np.asarray(x, dtype=float)
         if np.any(x_arr == 0.0):
             if side is None:
                 raise DomainError("tent: side flag required at the critical point")
-            slope = (2.0 + eps) if side == 0 else -(2.0 + eps)
+            slope = np.where(np.equal(side, 0), 2.0 + eps, -(2.0 + eps))
             d = np.where(x_arr == 0.0, slope, self._deriv_raw(eps, x_arr))
             return float(d) if d.ndim == 0 else d
         return self._deriv_raw(eps, x_arr)
@@ -303,31 +303,23 @@ class Figure6(_EvenQuartic):
     """The quartic family f_c(x) = -x^2 + 2 + c x^2 (4 - x^2) on [-2, 2].
 
     The critical value equals the right endpoint value for every ``c``
-    (eps = 0 identically); ``c`` is the shape parameter.  By default the
-    family is affinely rescaled to [-1, 1] as ``(1/2) f_c(2x) = 1 - (2 -
-    8c) x^2 - 8c x^4``, which leaves every ratio quantity invariant; pass
-    ``normalize=False`` to work on the raw domain, ``2 - (1 - 4c) x^2 -
-    c x^4`` (used by the conjugation-invariance tests).
+    (eps = 0 identically); ``c`` is the shape parameter.  The family is
+    affinely rescaled to [-1, 1] as ``(1/2) f_c(2x) = 1 - (2 - 8c) x^2 -
+    8c x^4``, which leaves every ratio quantity invariant.
     """
 
     kind = "figure6"
     C_RANGE = (-0.06, 0.06)
     param_range = (0.0, 0.0)
 
-    def __init__(self, c: float, normalize: bool = True):
+    def __init__(self, c: float):
         lo, hi = self.C_RANGE
         if not (lo <= c <= hi):
             raise ParameterRangeError(f"figure6: c={c} outside [{lo}, {hi}]")
-        if not isinstance(normalize, bool):
-            raise ParameterRangeError(
-                f"figure6: normalize expects a bool, got {normalize!r}")
         c = float(c)
-        dom = (-1.0, 1.0) if normalize else (-2.0, 2.0)
-        super().__init__(gamma=2.0, domain=dom,
-                         extra={"c": c, "normalized": normalize})
-        self.c, self.normalized = c, normalize
-        self._quartic = ((1.0, 2.0 - 8.0 * c, 8.0 * c) if normalize
-                         else (2.0, 1.0 - 4.0 * c, c))
+        super().__init__(gamma=2.0, extra={"c": c})
+        self.c = c
+        self._quartic = (1.0, 2.0 - 8.0 * c, 8.0 * c)
 
     def _coeffs(self, eps, side):
         return self._quartic
@@ -351,8 +343,7 @@ class AsymQuadratic(_EvenQuartic):
     def __init__(self, beta: float):
         if not abs(beta) < 1.0:
             raise ParameterRangeError("asym_quadratic requires |beta| < 1")
-        super().__init__(gamma=2.0, domain=(-1.0, 1.0),
-                         extra={"beta": float(beta)})
+        super().__init__(gamma=2.0, extra={"beta": float(beta)})
         self.beta = float(beta)
         self._mirrored = self.beta == 0.0
 
@@ -369,7 +360,7 @@ class AsymQuadratic(_EvenQuartic):
 _PRESETS = {
     "quadratic": (Quadratic, {}),
     "gamma_power": (GammaPower, {"gamma": 2.0}),
-    "figure6": (Figure6, {"c": 0.0, "normalize": True}),
+    "figure6": (Figure6, {"c": 0.0}),
     "tent": (Tent, {}),
     "asym_quadratic": (AsymQuadratic, {"beta": 0.0}),
 }
@@ -378,10 +369,9 @@ _PRESETS = {
 def make_family(kind: str, /, **params) -> MapFamily:
     """Build a preset by name from the params its kind takes.
 
-    gamma_power takes ``gamma``, figure6 ``c`` and ``normalize``,
-    asym_quadratic ``beta``; quadratic and tent take none.  ``normalize``
-    must be a bool and the others finite real numbers, not bools.  Any
-    other param or value is refused.
+    gamma_power takes ``gamma``, figure6 ``c``, asym_quadratic ``beta``;
+    quadratic and tent take none.  Each must be a finite real number, not
+    a bool.  Any other param or value is refused.
     """
     if not isinstance(kind, str) or kind not in _PRESETS:
         raise ParameterRangeError(f"unknown family kind {kind!r}; "
@@ -392,12 +382,11 @@ def make_family(kind: str, /, **params) -> MapFamily:
         raise ParameterRangeError(f"{kind}: unknown parameter(s) {unknown}; "
                                   f"expected some of {sorted(defaults)}")
     for name, value in params.items():
-        want_bool = isinstance(defaults[name], bool)
-        if (isinstance(value, bool) != want_bool
-                or not isinstance(value, numbers.Real) or not math.isfinite(value)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
             raise ParameterRangeError(
-                f"{kind}: parameter {name!r} expects "
-                f"{'a bool' if want_bool else 'a finite number'}, got {value!r}")
+                f"{kind}: parameter {name!r} expects a finite number, "
+                f"got {value!r}")
     return cls(**{**defaults, **params})
 
 

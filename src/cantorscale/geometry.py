@@ -25,7 +25,8 @@ from .families import MapFamily
 from .metric import _metric_for, _tilde_deriv_at
 
 #: pairs closer to the boundary than this are excluded from distortion
-#: sampling: the uniform bound degenerates as d_xy -> 0
+#: sampling: the uniform bound degenerates as d_xy -> 0.  A length on the
+#: domain [-1, 1] that every family shares
 MIN_BOUNDARY_DISTANCE = 1e-3
 
 #: grid points per cell on which ``estimate_constants`` samples f', h'
@@ -221,9 +222,11 @@ def _estimate_constants(family: MapFamily, eps: float, levels):
     if not (a_pt < 0.0 < d_pt):
         raise DomainError("level-2 partition collapsed; bad family")
 
-    # row k samples I_k; each row is the 1-D linspace of its cell
+    # row k samples I_k; each row is the 1-D linspace of its cell.  At
+    # eps = 0 the cells close on the critical point, where row k takes the
+    # one-sided derivative of side k (only the tent's depends on the side)
     xs = np.linspace(eta0.los, eta0.his, CONSTANT_SAMPLES, axis=1)
-    fprime = np.abs(family.deriv(eps, xs))
+    fprime = np.abs(family.deriv(eps, xs, side=[[0], [1]]))
     c1 = float(np.min(fprime))
     if c1 <= 0.0:
         raise DomainError(

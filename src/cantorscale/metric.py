@@ -245,8 +245,6 @@ class MetricChange:
 def _metric_for(family: MapFamily, eps: float) -> MetricChange:
     """The metric h of ``family`` at ``eps``: the one place that builds it."""
     eps = family.check_param(eps)
-    if family.domain != (-1.0, 1.0):
-        raise DomainError("metric operations need the normalized domain [-1, 1]")
     if family.gamma <= 1.0:
         raise DomainError(f"{family.kind}: metric change needs gamma > 1 "
                           "(piecewise linear oracle excluded)")

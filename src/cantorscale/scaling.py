@@ -28,7 +28,8 @@ from .families import MapFamily
 from .symbolic import DualPoint, ZEROS
 
 #: cylinders shorter than this are dominated by binary64 rounding; the
-#: approximant chain stops refining there and keeps the last reliable ratio
+#: approximant chain stops refining there and keeps the last reliable ratio.
+#: A length on the domain [-1, 1] that every family shares
 LENGTH_FLOOR = 1e-11
 
 #: branches per ``apply_branches`` call of a chain that stops at the floor

@@ -32,7 +32,7 @@ def test_partition_levels_allocates_only_its_levels():
 
 def test_pressure_root_works_in_one_buffer_over_half_a_mirrored_level():
     level = cs.partition(cs.Quadratic(), 0.3, 14)
-    peak, _ = _peak_bytes(lambda: _solve_delta(level, 2.0))
+    peak, _ = _peak_bytes(lambda: _solve_delta(level))
     assert peak <= 2.6 * level.los.nbytes
 
 
@@ -40,7 +40,7 @@ def test_pressure_root_copies_the_positive_lengths_of_an_unmirrored_level():
     # the full lengths array is dropped before the Newton buffer is made
     level = cs.partition(cs.AsymQuadratic(0.3), 0.1, 14)
     assert not level.mirrored
-    peak, _ = _peak_bytes(lambda: _solve_delta(level, 2.0))
+    peak, _ = _peak_bytes(lambda: _solve_delta(level))
     assert peak <= 2.2 * level.los.nbytes
 
 

@@ -265,7 +265,7 @@ _preset_params = st.one_of(
     st.tuples(st.just("gamma_power"), st.fixed_dictionaries(
         {"gamma": st.floats(1.05, 5.0)})),
     st.tuples(st.just("figure6"), st.fixed_dictionaries(
-        {"c": st.floats(-0.06, 0.06), "normalize": st.booleans()})),
+        {"c": st.floats(-0.06, 0.06)})),
     st.tuples(st.just("asym_quadratic"), st.fixed_dictionaries(
         {"beta": st.just(0.0) | st.floats(-0.9, 0.9)})))
 
@@ -301,7 +301,7 @@ def test_unchecked_steps_match_the_checked_kernel(preset, data, steps, n, depth)
 @pytest.mark.parametrize("family,eps", [
     (cs.Quadratic(), 0.0), (cs.Quadratic(), 0.3), (cs.Tent(), 1.0),
     (cs.GammaPower(1.5), 0.2), (cs.GammaPower(3.0), 0.0),
-    (cs.Figure6(-0.03), 0.0), (cs.Figure6(0.05, normalize=False), 0.0),
+    (cs.Figure6(-0.03), 0.0), (cs.Figure6(0.05), 0.0),
     (cs.AsymQuadratic(0.0), 0.0), (cs.AsymQuadratic(0.0), 0.2),
     (cs.AsymQuadratic(0.3), 0.0), (cs.AsymQuadratic(0.3), 0.2)])
 def test_a_family_is_mirrored_when_its_checked_levels_mirror_bit_for_bit(
@@ -391,7 +391,7 @@ def test_apply_branches_per_point_sides_are_checked():
 
 @pytest.mark.parametrize("family,eps", KERNEL_CASES + [
     (cs.Quadratic(), 0.3), (cs.GammaPower(1.5), 0.2), (cs.Tent(), 1.0),
-    (cs.Figure6(0.02, normalize=False), 0.0), (cs.AsymQuadratic(-0.45), 0.5)])
+    (cs.Figure6(0.02), 0.0), (cs.AsymQuadratic(-0.45), 0.5)])
 def test_invariant_suite_passes_on_every_word(family, eps):
     assert cs.invariant_suite(family, eps) == {
         "endpoints": {"checks": 3, "passed": True},

@@ -267,6 +267,46 @@ def test_gap_fit_command(tmp_path):
     data = json.loads((tmp_path / "gap_fit.json").read_text())
     assert data["slope"] == pytest.approx(0.5, abs=0.05)
     assert len(data["rows"]) == 5
+    assert data["depth"] == 4
+
+
+def test_gap_fit_records_its_depth_clamped_to_8(tmp_path):
+    assert run_cli(tmp_path, {"command": "gap-fit",
+                              "family": {"kind": "quadratic"},
+                              "epsilon_grid": [0.05, 0.1], "depth": 12}) == 0
+    assert json.loads((tmp_path / "gap_fit.json").read_text())["depth"] == 8
+
+
+def test_tent_distortion_check_runs_at_eps_zero(tmp_path):
+    assert run_cli(tmp_path, {"command": "distortion-check",
+                              "family": {"kind": "tent"}, "epsilon": 0.0,
+                              "samples": 500, "depth": 12}) == 0
+    data = json.loads((tmp_path / "distortion_check.json").read_text())
+    assert data["passed"] == data["samples"] == 500
+    assert data["worst_margin"] == 1.0
+
+
+@pytest.mark.parametrize("cfg,status,message,written", [
+    ([{"command": "partition"}], 1, "error: config must be a JSON object",
+     ["cfg.json"]),
+    ({"command": "distortion-check", "family": {"kind": "quadratic"},
+      "epsilon": 0.0, "samples": 50, "depth": 12}, 1, "requires eps > 0",
+     ["cfg.json"]),
+    ({"command": "scaling-point", "family": {"kind": "quadratic"},
+      "epsilon": 0.0, "dual_point": "0^inf|1.", "depth": 20}, 2,
+     "non-convergence: scaling approximants", ["cfg.json", "scaling_point.json"]),
+    ({"command": "jump-report", "family": {"kind": "quadratic"},
+      "dual_point": "0^inf|10.", "depth": 4}, 2,
+     "non-convergence: jump sequences", ["cfg.json", "jump_report.txt"]),
+], ids=["not-an-object", "distortion-at-eps-0", "scaling-point-unconverged",
+        "jump-report-unconverged"])
+def test_exit_status_and_artifacts_of_a_failed_run(tmp_path, capsys, cfg,
+                                                  status, message, written):
+    # a refused config writes nothing; an unconverged estimate still
+    # writes its artifact before it exits 2
+    assert run_cli(tmp_path, cfg) == status
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 def test_dimension_curve_command(tmp_path):
@@ -442,17 +482,6 @@ def test_epsilon_outside_the_family_range_exits_1(tmp_path, capsys, cfg):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-def test_metric_check_refuses_a_raw_domain_family(tmp_path, capsys):
-    # built as the conjugate-map functions build it, the metric needs [-1, 1]
-    cfg = {"command": "metric-check",
-           "family": {"kind": "figure6",
-                      "params": {"c": 0.03, "normalize": False}}}
-    assert run_cli(tmp_path, cfg) == 1
-    assert capsys.readouterr().err == (
-        "error: metric operations need the normalized domain [-1, 1]\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-
-
 @pytest.mark.parametrize("command", ["distortion-check", "invariants"])
 def test_negative_seed_exits_1(tmp_path, capsys, command):
     # refused at the config, also by a command that draws nothing
@@ -597,7 +626,7 @@ FUZZ_FAMILIES = [
     {"kind": "gamma_power", "params": {"gamma": 40}},
     {"kind": "figure6", "params": {"c": 0.0}},
     {"kind": "figure6", "params": {"c": -0.06}},
-    {"kind": "figure6", "params": {"c": 0.03, "normalize": False}},
+    {"kind": "figure6", "params": {"c": 0.03}},
     {"kind": "asym_quadratic", "params": {"beta": 0.3}},
     {"kind": "asym_quadratic", "params": {"beta": -0.9}},
     {"kind": "gamma_power", "params": {"gamma": 1.0}},

@@ -71,14 +71,10 @@ TENT_EPS = (0.1, 0.5, 1.0)
 TILINGS = (cs.Quadratic(), cs.Figure6(0.03), cs.Tent(), cs.AsymQuadratic(0.0))
 
 
-def _domain_length(family):
-    return family.domain[1] - family.domain[0]
-
-
-def _mpmath_root(part, domain_length):
+def _mpmath_root(part):
     """The pressure root of the binary64 cell lengths at 30 digits."""
     with mpmath.workdps(30):
-        log_r = [mpmath.log(mpmath.mpf(x) / domain_length)
+        log_r = [mpmath.log(mpmath.mpf(x) / 2)
                  for x in part.lengths.tolist()]
         return mpmath.findroot(
             lambda d: mpmath.fsum(mpmath.exp(d * lr) for lr in log_r) - 1, 0.5)
@@ -104,10 +100,10 @@ def _mirrored_zero_cell_partitions():
             cs.Partition(1, los[keep], his[keep]))
 
 
-def _full_level_solve(part, domain_length):
+def _full_level_solve(part):
     """Reference: the Newton iteration of ``_solve_delta`` with its sums
     over every cell of the level, each step in fresh arrays."""
-    rel = part.lengths / domain_length
+    rel = part.lengths / 2.0
     log_r = np.log(rel[rel > 0.0])
     delta = 1.0
     for iterations in range(1, 61):
@@ -128,11 +124,10 @@ MIRRORED = [(cs.Quadratic(), 0.1), (cs.GammaPower(3.0), 0.2), (cs.Tent(), 0.3),
 
 @pytest.mark.parametrize("family,eps", MIRRORED)
 def test_half_level_root_matches_the_full_level_root(family, eps):
-    dlen = _domain_length(family)
     for level in cs.partition_levels(family, eps, 16)[8:]:
         assert level.mirrored
-        delta, residual, _ = _solve_delta(level, dlen)
-        full, full_residual, _ = _full_level_solve(level, dlen)
+        delta, residual, _ = _solve_delta(level)
+        full, full_residual, _ = _full_level_solve(level)
         assert abs(delta - full) <= 2 * np.spacing(full)
         assert residual < 1e-10 and full_residual < 1e-10
 
@@ -141,14 +136,14 @@ def test_an_unmirrored_level_takes_the_full_level_root_bit_for_bit():
     family, eps = cs.AsymQuadratic(-0.45), 0.3
     for level in cs.partition_levels(family, eps, 16)[8:]:
         assert not level.mirrored
-        assert _solve_delta(level, 2.0) == _full_level_solve(level, 2.0)
+        assert _solve_delta(level) == _full_level_solve(level)
 
 
 @pytest.mark.parametrize("family,eps", MPMATH_CASES)
 def test_newton_root_matches_mpmath(family, eps):
     part = cs.partition(family, eps, 10)
-    delta, residual, _ = _solve_delta(part, _domain_length(family))
-    assert abs(delta - _mpmath_root(part, _domain_length(family))) < 1e-13
+    delta, residual, _ = _solve_delta(part)
+    assert abs(delta - _mpmath_root(part)) < 1e-13
     assert residual < 1e-10
 
 
@@ -157,7 +152,7 @@ def test_newton_root_tent_moran(eps):
     # depth 6: deeper tent endpoints cancel in the cell lengths, which
     # moves the root of the binary64 partition itself (1.6e-14 at depth
     # 10 for eps = 1, where it still matches its own mpmath root)
-    delta, _, _ = _solve_delta(cs.partition(cs.Tent(), eps, 6), 2.0)
+    delta, _, _ = _solve_delta(cs.partition(cs.Tent(), eps, 6))
     assert abs(delta - math.log(2.0) / math.log(2.0 + eps)) < 1e-14
 
 
@@ -165,7 +160,7 @@ def test_newton_root_tent_moran(eps):
 def test_tiling_root_is_exactly_one(family):
     for depth in (6, 10, 14):
         part = cs.partition(family, 0.0, depth)
-        assert _solve_delta(part, _domain_length(family))[0] == 1.0
+        assert _solve_delta(part)[0] == 1.0
     est = cs.hd_estimate(family, 0.0, 14)
     assert est.delta == 1.0 and est.bracket == (1.0, 1.0)
 
@@ -176,28 +171,27 @@ def test_zero_length_cell_adds_nothing():
     for with_zero, without in (plain, mirrored):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            delta, residual, _ = _solve_delta(with_zero, 2.0)
+            delta, residual, _ = _solve_delta(with_zero)
         assert math.isfinite(delta) and residual < 1e-10
-        assert delta == _solve_delta(without, 2.0)[0]
+        assert delta == _solve_delta(without)[0]
 
 
 def test_newton_iterations_bounded():
-    roots = [_solve_delta(cs.partition(f, e, 10), _domain_length(f))
-             for f, e in MPMATH_CASES]
-    roots += [_solve_delta(cs.partition(cs.Tent(), e, 6), 2.0) for e in TENT_EPS]
-    roots += [_solve_delta(cs.partition(f, 0.0, d), _domain_length(f))
+    roots = [_solve_delta(cs.partition(f, e, 10)) for f, e in MPMATH_CASES]
+    roots += [_solve_delta(cs.partition(cs.Tent(), e, 6)) for e in TENT_EPS]
+    roots += [_solve_delta(cs.partition(f, 0.0, d))
               for f in TILINGS for d in (6, 10, 14)]
-    roots += [_solve_delta(p, 2.0) for p in _zero_cell_partitions()]
+    roots += [_solve_delta(p) for p in _zero_cell_partitions()]
     assert all(1 <= root[2] <= 12 for root in roots)
     # the estimate reports the steps of its deepest root
     est = cs.hd_estimate(cs.Quadratic(), 0.3, 10)
-    assert est.iterations == _solve_delta(cs.partition(cs.Quadratic(), 0.3, 10),
-                                          2.0)[2]
+    assert est.iterations == _solve_delta(
+        cs.partition(cs.Quadratic(), 0.3, 10))[2]
 
 
 def test_newton_root_raises_above_tolerance():
     with pytest.raises(ConvergenceError):
-        _solve_delta(cs.partition(cs.Quadratic(), 0.3, 8), 2.0, tol=0.0)
+        _solve_delta(cs.partition(cs.Quadratic(), 0.3, 8), tol=0.0)
 
 
 def test_newton_root_raises_when_every_cell_has_length_zero():
@@ -205,7 +199,7 @@ def test_newton_root_raises_when_every_cell_has_length_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="every level-1 cell"):
-            _solve_delta(part, 2.0)
+            _solve_delta(part)
 
 
 #: (family, eps) whose roots at depths 6-16 are checked against the fsum residual
@@ -216,16 +210,15 @@ RESIDUAL_CASES = [(cs.Quadratic(), 0.1), (cs.GammaPower(3.0), 0.1),
 @pytest.mark.parametrize("family,eps", RESIDUAL_CASES)
 def test_root_residual_matches_the_compensated_sum(family, eps):
     levels = cs.partition_levels(family, eps, 16)
-    dlen = _domain_length(family)
     for depth in range(6, 17):
-        delta, residual, _ = _solve_delta(levels[depth], dlen)
-        reference = abs(cs.pressure_sum(levels[depth], delta, dlen) - 1.0)
+        delta, residual, _ = _solve_delta(levels[depth])
+        reference = abs(cs.pressure_sum(levels[depth], delta) - 1.0)
         assert abs(residual - reference) < 1e-14
 
 
 def test_root_residual_with_a_zero_cell_matches_the_compensated_sum():
     for part in _zero_cell_partitions():
-        delta, residual, _ = _solve_delta(part, 2.0)
+        delta, residual, _ = _solve_delta(part)
         assert abs(residual - abs(cs.pressure_sum(part, delta) - 1.0)) < 1e-14
 
 
@@ -240,14 +233,14 @@ def test_roots_do_not_call_the_compensated_sum(monkeypatch):
     assert len(rows) == 2
 
 
-def _ratio_root(levels, depth, domain_length, tol=1e-13):
+def _ratio_root(levels, depth, tol=1e-13):
     """Bisection root of sum_{depth} r^delta = sum_{depth-1} r^delta.
 
     The ratio of consecutive pressure sums cancels their common
     distortion constant, so this root converges geometrically in depth.
     """
-    log_n = np.log(levels[depth].lengths / domain_length)
-    log_m = np.log(levels[depth - 1].lengths / domain_length)
+    log_n = np.log(levels[depth].lengths / 2.0)
+    log_m = np.log(levels[depth - 1].lengths / 2.0)
     lo, hi = 0.0, 1.0       # the difference is > 0 at 0 and < 0 at 1
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -265,7 +258,7 @@ def _ratio_root(levels, depth, domain_length, tol=1e-13):
 @pytest.mark.parametrize("eps", [1e-3, 0.05, 0.1])
 def test_hd_estimate_bracket_contains_the_ratio_root(eps):
     levels = cs.partition_levels(cs.Quadratic(), eps, 16)
-    root = _ratio_root(levels, 16, 2.0)
+    root = _ratio_root(levels, 16)
     lo, hi = cs.hd_estimate(cs.Quadratic(), eps, 16).bracket
     assert lo <= root <= hi
 
@@ -346,3 +339,39 @@ def test_zero_run_direct_enumeration():
         runs = [len(list(g)) for b, g in itertools.groupby(bits) if b == 0]
         count += not runs or max(runs) < 3
     assert cs.zero_run_count(6) == count
+
+
+_Q = cs.Quadratic()
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: cs.Word(()), ValueError, "length must be >= 1"),
+    (lambda: cs.Word((2,)), ValueError, "bits must be 0 or 1"),
+    (lambda: cs.partition_levels(_Q, 0.1, -1), ValueError, "depth must be >= 0"),
+    (lambda: cs.decay_rate(_Q, 0.1, 3), ValueError, "n_max must be >= 4"),
+    (lambda: cs.pressure_sum(cs.partition(_Q, 0.1, 3), 2.5), cs.DomainError,
+     r"delta must lie in \[0, 2\]"),
+    (lambda: cs.hd_estimate(_Q, 0.1, 5), cs.DomainError, "depth >= 6"),
+    (lambda: cs.hd_curve(_Q, [0.0, 0.1], 8), cs.DomainError, "positive eps"),
+    (lambda: cs.delta0(0.5, 10.0), cs.DomainError, r"C6 \* sqrt\(eps\) < 1"),
+    (lambda: cs.zero_run_count(0), cs.DomainError, "overflow guard"),
+    (lambda: cs.zero_run_count(63), cs.DomainError, "overflow guard"),
+    (lambda: cs.zero_run_count_bruteforce(21), cs.DomainError, "n = 20"),
+    (lambda: cs.AsymQuadratic(1.0), cs.ParameterRangeError, r"\|beta\| < 1"),
+    (lambda: cs.family_from_spec({"params": {}}), cs.ParameterRangeError,
+     "missing key 'kind'"),
+    (lambda: cs.asymptotic_gap_fit(_Q, [0.0, 0.1]), cs.DomainError,
+     "positive eps"),
+    (lambda: cs.scale_at(_Q, 0.1, cs.DualPoint((1,), "truncated"), 10),
+     cs.DomainError, "fewer than 2 coordinates"),
+    (lambda: cs.DualPoint((1,), (2,)), ValueError, "bad periodic tail"),
+    (lambda: cs.DualPoint((), "bogus"), ValueError, "bad tail descriptor"),
+    (lambda: cs.parse_dual_point("x|1."), ValueError, "bad tail 'x'"),
+], ids=["word-empty", "word-bit-2", "levels-depth", "decay-n_max",
+        "pressure-delta", "hd-depth", "hd_curve-eps", "delta0-t", "zero-run-0",
+        "zero-run-63", "zero-run-brute-21", "asym-beta-1", "spec-no-kind",
+        "gap-fit-eps", "scale-one-coordinate", "dual-tail-bit",
+        "dual-tail-kind", "parse-tail"])
+def test_an_argument_outside_its_domain_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

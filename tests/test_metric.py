@@ -134,16 +134,6 @@ def test_metric_requires_gamma_above_one():
         cs.tilde_eval(cs.Tent(), 0.0, 0.3)
 
 
-def test_tilde_functions_refuse_a_raw_domain_family():
-    # each builds the family's own metric, which needs the domain [-1, 1]
-    raw, a = cs.Figure6(0.03, normalize=False), cs.DualPoint((), (1, 0))
-    for call in (lambda: cs.tilde_eval(raw, 0.0, 0.3),
-                 lambda: cs.tilde_deriv(raw, 0.0, 0.3),
-                 lambda: cs.tilde_scaling(raw, 0.0, a, 10)):
-        with pytest.raises(cs.DomainError, match="normalized domain"):
-            call()
-
-
 @pytest.mark.parametrize("gamma", [2.0, 3.0])
 @pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
 def test_metric_rejects_eps_that_is_negative_or_not_finite(gamma, eps):
