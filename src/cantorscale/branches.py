@@ -126,6 +126,10 @@ class Partition:
         return self.los.size
 
     def word(self, index: int) -> Word:
+        """The word of cell ``index``; a negative index counts from the end,
+        as for the endpoint arrays."""
+        if not -len(self) <= index < len(self):
+            raise IndexError(f"cell {index} out of range for {len(self)} cells")
         bits = tuple((index >> (self.word_length - 1 - j)) & 1
                      for j in range(self.word_length))
         return Word(bits)

@@ -22,7 +22,11 @@ refuses Tent, as the conjugate-map functions do.
 
 Exit status: 0 success, 1 validation failure, 2 numerical non-convergence.
 Numbers are written with Python's shortest round-trip decimal rendering,
-so a fixed config and seed produce byte-identical artifacts.
+so a fixed config and seed produce byte-identical artifacts.  CSV cells
+hold the bytes ``repr`` gives, made a column at a time by ``_decimal``; a
+mirrored partition runs the digit search on its left half only and lays
+the same digits out with the opposite sign for the right half.  A
+non-finite CSV cell exits 2 and leaves no CSV.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import branches, dimension, geometry, scaling
+from . import _decimal, branches, dimension, geometry, scaling
 from .errors import CantorScaleError, ConvergenceError
 from .families import family_from_spec
 from .metric import _metric_for, tilde_eval
@@ -61,6 +65,8 @@ MAX_SAMPLES = 100_000
 #: as many mirrored ones per write, so memory holds one chunk whatever the
 #: depth
 CSV_CHUNK_ROWS = 4096
+#: the orientation cells 1 and -1, NUL-padded, indexed by a cell's parity
+_ORIENTATION = np.frombuffer(b"\x001-1", dtype=np.uint8).reshape(2, 2)
 
 
 class ConfigError(CantorScaleError, ValueError):
@@ -84,27 +90,32 @@ def _write_json(path: Path, payload: dict) -> None:
                                default=lambda obj: obj.item()) + "\n")
 
 
-def _csv_lines(columns) -> str:
-    """Equally long columns of cell strings as comma-joined lines ended by
-    CRLF, as ``csv.writer`` writes them; no cell written here needs
-    quoting."""
-    return "\r\n".join([*map(",".join, zip(*columns)), ""])
-
-
 def _write_csv(path: Path, header: list[str], chunks) -> None:
-    """Write ``header``, then each chunk of columns as ``_csv_lines``.  Each
-    chunk is written at once, so a file streamed in chunks is never held in
-    memory."""
-    with path.open("w", newline="") as fh:
-        fh.write(_csv_lines([[name] for name in header]))  # one row
-        for columns in chunks:
-            fh.write(_csv_lines(columns))
+    """Write ``header``, then each chunk of columns of cells as
+    ``_decimal.rows``.  Each chunk is written at once, so a file streamed in
+    chunks is never held in memory; a chunk with a non-finite value leaves
+    no file."""
+    try:
+        with path.open("wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            for columns in chunks:
+                fh.write(_decimal.rows(columns))
+    except ConvergenceError:
+        path.unlink(missing_ok=True)
+        raise
 
 
-def _negated(cells: list[str]) -> list[str]:
-    """``repr(-x)`` from ``repr(x)`` for finite ``x``, ±0.0 included: the
-    leading ``-`` toggled."""
-    return [c[1:] if c[0] == "-" else "-" + c for c in cells]
+def _float_cells(values, column: str):
+    """``repr``'s cells of float64 ``values`` of ``column``."""
+    return _decimal.cells(*_decimal.digits(values, column))
+
+
+def _bit_cells(ks, width: int):
+    """Cells of the ``width`` low bits of each of ``ks``, most significant
+    first, as ``0``/``1`` bytes."""
+    bits = np.unpackbits(ks.astype(">u8").view(np.uint8).reshape(-1, 8),
+                         axis=1)
+    return bits[:, 64 - width:] + ord("0")
 
 
 def _integer(key: str, value) -> int:
@@ -191,12 +202,11 @@ class Experiment:
 
     def cmd_partition(self) -> str:
         part = branches.partition(self.family, self.eps, self.depth)
-        los, his, lengths = part.los, part.his, part.lengths
-        n, word_fmt = len(part), f"0{part.word_length}b"
+        n, width = len(part), part.word_length
         # odd[i] is the parity of the bits of i (Thue-Morse), built by doubling
-        odd = np.zeros(1, dtype=bool)
+        odd = np.zeros(1, dtype=np.uint8)
         while odd.size < n:
-            odd = np.concatenate([odd, ~odd])
+            odd = np.concatenate([odd, odd ^ 1])
         header = ["word", "lo", "hi", "length", "orientation"]
         path = self.path(".csv")
 
@@ -207,41 +217,45 @@ class Experiment:
             stop = n if spill is None else n // 2
             for start in range(0, stop, CSV_CHUNK_ROWS):
                 c = slice(start, min(start + CSV_CHUNK_ROWS, stop))
-                words = [format(i, word_fmt) for i in range(n)[c]]
-                lo, hi, length = ([*map(repr, col[c].tolist())]
-                                  for col in (los, his, lengths))
-                sign = odd[c].tolist()
-                yield words, lo, hi, length, [("1", "-1")[o] for o in sign]
+                ks = np.arange(c.start, c.stop)
+                lo = _decimal.digits(part.los[c], "lo")
+                hi = _decimal.digits(part.his[c], "hi")
+                length = _decimal.digits(part.his[c] - part.los[c], "length")
+                length_cells = _decimal.cells(*length)
+                yield [_bit_cells(ks, width), _decimal.cells(*lo),
+                       _decimal.cells(*hi), length_cells, _ORIENTATION[odd[c]]]
                 if spill is not None:
-                    spill.write(_csv_lines((
-                        ["1" + w[1:] for w in words], _negated(hi),
-                        _negated(lo), length, [("-1", "1")[o] for o in sign])))
+                    spill.write(_decimal.rows([
+                        _bit_cells(ks + n // 2, width),
+                        _decimal.cells(*hi, negate=True),
+                        _decimal.cells(*lo, negate=True), length_cells,
+                        _ORIENTATION[odd[c] ^ 1]]))
 
         if not part.mirrored:
             _write_csv(path, header, chunks(None))
         else:
             # the right half follows the whole left half, so it waits on
             # disk, never in memory
-            with tempfile.TemporaryFile("w+", newline="",
-                                        dir=self.out_dir) as spill:
+            with tempfile.TemporaryFile(dir=self.out_dir) as spill:
                 _write_csv(path, header, chunks(spill))
                 spill.seek(0)
-                with path.open("a", newline="") as fh:
+                with path.open("ab") as fh:
                     shutil.copyfileobj(spill, fh)
         return (f"partition depth={self.depth} cells={len(part)} "
                 f"lambda_n={part.lambda_n:.6g}")
 
     def cmd_scaling_graph(self) -> str:
         s = scaling.scaling_graph(self.family, self.eps, self.depth)
-        n, word_fmt = s.size, f"0{self.depth + 1}b"
+        n = s.size
 
         def chunks():
             # row k is x = k / n, whose word is k's bits reversed
             for start in range(0, n, CSV_CHUNK_ROWS):
-                rows = range(start, min(start + CSV_CHUNK_ROWS, n))
-                yield ([repr(k / n) for k in rows],
-                       [format(k, word_fmt)[::-1] for k in rows],
-                       [*map(repr, s[rows.start:rows.stop].tolist())])
+                c = slice(start, min(start + CSV_CHUNK_ROWS, n))
+                ks = np.arange(c.start, c.stop)
+                yield [_float_cells(ks / n, "x_coord"),
+                       _bit_cells(ks, self.depth + 1)[:, ::-1],
+                       _float_cells(s[c], "s")]
 
         _write_csv(self.path(".csv"), ["x_coord", "word", "s"], chunks())
         return (f"scaling-graph depth={self.depth} rows={n} "
@@ -279,10 +293,11 @@ class Experiment:
 
     def cmd_dimension_curve(self) -> str:
         ests, slope = dimension.hd_curve(self.family, self.eps_grid, self.depth)
+        header = ["epsilon", "delta", "bracket_lo", "bracket_hi"]
         columns = zip(*[(e.epsilon, e.delta, *e.bracket) for e in ests])
-        _write_csv(self.path(".csv"),
-                   ["epsilon", "delta", "bracket_lo", "bracket_hi"],
-                   [[map(_fmt, col) for col in columns]])
+        _write_csv(self.path(".csv"), header,
+                   [[_float_cells(col, name)
+                     for col, name in zip(columns, header)]])
         _write_json(self.path("_fit.json"), {"slope": slope,
                                              "depth": self.depth})
         return f"dimension-curve slope={slope:.4f} points={len(ests)}"

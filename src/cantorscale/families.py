@@ -46,6 +46,13 @@ from .errors import DomainError, ParameterRangeError
 RESIDUAL_PROBE = 1e-9
 
 
+def _check_side(side) -> None:
+    """Refuse a side, or an array of sides, other than 0 and 1; None, for no
+    side, passes."""
+    if side is not None and not np.all(np.equal(side, 0) | np.equal(side, 1)):
+        raise ValueError(f"side must be 0 or 1, got {side}")
+
+
 class MapFamily:
     """Base class for the presets.  Subclasses fill in closed forms."""
 
@@ -100,6 +107,7 @@ class MapFamily:
         """
         eps = self.check_param(eps)
         self.check_domain(x)
+        _check_side(side)
         return self._deriv_raw(eps, x)
 
     def critical_value(self, eps: float) -> float:
@@ -228,6 +236,7 @@ class Tent(_PowerLaw):
         array of sides that broadcasts against x."""
         eps = self.check_param(eps)
         self.check_domain(x)
+        _check_side(side)
         x_arr = np.asarray(x, dtype=float)
         if np.any(x_arr == 0.0):
             if side is None:

@@ -449,3 +449,17 @@ def test_word_rendering_and_index_round_trip():
     for j in range(len(p)):
         bits = p.word(j).bits
         assert int("".join(map(str, bits)), 2) == j
+
+
+def test_word_index_range_is_that_of_the_endpoint_arrays():
+    p = cs.partition(cs.Quadratic(), 0.0, 2)
+    n = len(p)
+    assert n == 8
+    for j in (-n, -1, 0, n - 1):
+        assert p.word(j) == p.word(j % n)
+    assert str(p.word(-1)) == "111" and str(p.word(-n)) == "000"
+    for j in (n, n + 3, -n - 1, -2 * n):
+        with pytest.raises(IndexError):
+            p.word(j)
+        with pytest.raises(IndexError):
+            p.los[j]

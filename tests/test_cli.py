@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cantorscale
+from cantorscale import _decimal
 from cantorscale.cli import MAX_SAMPLES, REQUIRED_KEYS, main
 
 
@@ -137,14 +138,13 @@ def test_chunked_partition_and_dimension_csv_match_csv_writer_bytes(
     # chunks of 3 and 100 rows end off the half of 2, 4 and 256 rows, and
     # the last chunk of each half is short.  No write formats more than a
     # chunk of rows
-    csv_lines = cantorscale.cli._csv_lines
+    csv_rows = _decimal.rows
 
-    def one_chunk_lines(columns):
-        columns = [list(col) for col in columns]
+    def one_chunk_rows(columns):
         assert len(columns[0]) <= cantorscale.cli.CSV_CHUNK_ROWS
-        return csv_lines(columns)
+        return csv_rows(columns)
 
-    monkeypatch.setattr(cantorscale.cli, "_csv_lines", one_chunk_lines)
+    monkeypatch.setattr(_decimal, "rows", one_chunk_rows)
     for rows in (3, 100):
         monkeypatch.setattr(cantorscale.cli, "CSV_CHUNK_ROWS", rows)
         for spec, eps in PARTITION_CASES:
@@ -203,20 +203,42 @@ def test_depth_14_scaling_graph_csv_sha256(tmp_path, spec, eps, digest):
 def test_a_mirrored_partition_formats_half_its_floats(tmp_path, monkeypatch,
                                                       spec, eps,
                                                       floats_per_cell):
-    calls = []
+    counted = []
+    digits = _decimal.digits
 
-    def counting_repr(x):
-        calls.append(x)
-        return repr(x)
+    def counting_digits(values, column):
+        counted.append(len(values))
+        return digits(values, column)
 
-    monkeypatch.setattr(cantorscale.cli, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(_decimal, "digits", counting_digits)
     monkeypatch.setattr(cantorscale.cli, "CSV_CHUNK_ROWS", 50)
     assert run_cli(tmp_path, {"command": "partition", "family": spec,
                               "epsilon": eps, "depth": 7}) == 0
-    assert len(calls) == floats_per_cell * 2 ** 8
+    # the values that went through the digit search
+    assert sum(counted) == floats_per_cell * 2 ** 8
     # the mirrored half waited in an anonymous file, which is gone
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
                                                           "partition.csv"]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_csv_cell_exits_2_and_leaves_no_csv(tmp_path, monkeypatch,
+                                                         capsys, bad):
+    # no command makes one today: the graph gets one planted in a late chunk
+    graph = cantorscale.scaling.scaling_graph
+
+    def planted(*args):
+        s = graph(*args).copy()
+        s[-1] = bad
+        return s
+
+    monkeypatch.setattr(cantorscale.scaling, "scaling_graph", planted)
+    monkeypatch.setattr(cantorscale.cli, "CSV_CHUNK_ROWS", 16)
+    assert run_cli(tmp_path, {"command": "scaling-graph",
+                              "family": {"kind": "quadratic"},
+                              "epsilon": 0.0, "depth": 6}) == 2
+    assert capsys.readouterr().err == "non-convergence: column 's' is not finite\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_scaling_point_command(tmp_path):

@@ -1,0 +1,95 @@
+"""The CSV cell kernel: ``repr``'s bytes for float64 arrays."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cantorscale
+from cantorscale import _decimal
+
+#: where the layout changes (positional for a decimal point at -3 ... 16),
+#: the largest and smallest normal and the smallest subnormal
+LAYOUT_EDGES = [1e-4, 9.999999999999999e-05, 1e-5, 1e15, 1e16,
+                9999999999999998.0, 1.7976931348623157e308,
+                2.2250738585072014e-308, 5e-324]
+
+
+def assert_cells_are_repr(values):
+    # one CRLF-ended line per value, for the values and for their negations,
+    # whose repr is the value's with its leading '-' toggled
+    values = np.asarray(values, dtype=np.float64)
+    source, keys = _decimal.digits(values, "x")
+    reprs = [*map(repr, values.tolist())]
+    negated = [r[1:] if r[0] == "-" else "-" + r for r in reprs]
+    for negate, cells in ((False, reprs), (True, negated)):
+        got = bytes(_decimal.rows([_decimal.cells(source, keys, negate)]))
+        want = "".join(cell + "\r\n" for cell in cells).encode()
+        if got != want:
+            lines = zip(got.split(b"\r\n"), want.split(b"\r\n"), strict=True)
+            bad = next((g, w) for g, w in lines if g != w)
+            pytest.fail(f"cell {bad[0]!r}, repr {bad[1]!r}")
+
+
+def test_cells_at_the_layout_edges_and_zeros():
+    edges = np.asarray(LAYOUT_EDGES)
+    below_max = edges[edges < 1.7976931348623157e308]
+    assert_cells_are_repr([0.0, -0.0, *edges, *np.nextafter(edges, 0.0),
+                           *np.nextafter(below_max, np.inf)])
+
+
+def test_cells_of_every_power_of_two_and_its_neighbours():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    assert_cells_are_repr(np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+
+def test_cells_of_random_bit_patterns():
+    bits = np.random.default_rng(20).integers(0, 2**64, size=200_000,
+                                              dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert_cells_are_repr(values[np.isfinite(values)])
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                          allow_subnormal=True), min_size=1, max_size=40))
+def test_cells_of_hypothesis_floats(values):
+    assert_cells_are_repr(values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_value_is_refused_by_column(bad):
+    with pytest.raises(cantorscale.ConvergenceError,
+                       match="column 'hi' is not finite"):
+        _decimal.digits([0.5, bad, 0.25], "hi")
+
+
+def test_import_leaves_the_power_table_unbuilt():
+    # the table costs milliseconds, which a run that writes no CSV should
+    # not pay at import; the first CSV write builds it
+    src = Path(cantorscale.__file__).parents[1]
+    code = "\n".join([
+        "import tempfile",
+        "from pathlib import Path",
+        "import numpy as np",
+        "import cantorscale, cantorscale.cli as cli",
+        "from cantorscale import _decimal",
+        "assert _decimal._tables.cache_info().currsize == 0",
+        "with tempfile.TemporaryDirectory() as out:",
+        "    path = Path(out) / 'one.csv'",
+        "    cli._write_csv(path, ['x'], [[cli._float_cells(np.ones(1), 'x')]])",
+        "    assert path.read_bytes() == b'x\\r\\n1.0\\r\\n'",
+        "assert _decimal._tables.cache_info().currsize == 1",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

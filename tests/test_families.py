@@ -63,6 +63,15 @@ def test_tent_needs_side_at_kink():
     assert t.deriv(0.0, 0.0, side=1) == pytest.approx(-2.0)
 
 
+@pytest.mark.parametrize("family", [cs.Tent(), cs.Quadratic()])
+@pytest.mark.parametrize("x,side", [
+    (0.0, 2), (0.0, -1), (0.5, 2), ([0.0, 0.0], [0, 2]), ([0.0], [[0], [3]])])
+def test_deriv_refuses_a_side_other_than_0_or_1(family, x, side):
+    # the message inverse_branch gives, for a scalar side or an array of them
+    with pytest.raises(ValueError, match="side must be 0 or 1, got"):
+        family.deriv(0.0, x, side=side)
+
+
 @pytest.mark.parametrize("family,eps", PRESETS)
 def test_deriv_matches_finite_differences(family, eps):
     h = 1e-6
@@ -236,10 +245,13 @@ def test_closed_form_returns_domain_endpoints_exactly(family, eps):
     cs.AsymQuadratic(0.3), cs.Quadratic(), cs.GammaPower(3.0), cs.Tent()])
 def test_closed_form_returns_zero_at_critical_value(family):
     # -0.0 on the left branch and +0.0 on the right, so g_1 = -g_0 there too
+    # and at a y above it by less than check_domain's 1e-12 slack, which the
+    # closed forms clamp to the critical value
     crit = family.critical_value(0.0)
-    for side, sign in ((0, -1.0), (1, 1.0)):
-        x = family.inverse_branch(0.0, side, crit)
-        assert x == 0.0 and math.copysign(1.0, x) == sign
+    for y in (crit, crit + 5e-13, 1.0 + 1e-12):
+        for side, sign in ((0, -1.0), (1, 1.0)):
+            x = family.inverse_branch(0.0, side, y)
+            assert x == 0.0 and math.copysign(1.0, x) == sign, (y, side, x)
 
 
 @pytest.mark.parametrize("family,eps", [
