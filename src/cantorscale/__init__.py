@@ -18,11 +18,9 @@ from .geometry import (DistortionCheck, GapFit, GapRecord,
                        GoodFamilyConstants, asymptotic_gap_fit,
                        distortion_check, distortion_suite, estimate_constants,
                        gap, gap_geometry)
-from .metric import (MetricChange, nonlinearity_tilde_q, tilde_deriv,
-                     tilde_eval, tilde_scaling)
-from .scaling import (HolderFit, JumpAnalysis, ScalingEstimate, asymmetry,
-                      gamma_recover, holder_fit, jump_at, scale_at,
-                      scaling_convergence, scaling_graph)
+from .metric import MetricChange, tilde_deriv, tilde_eval, tilde_scaling
+from .scaling import (JumpAnalysis, ScalingEstimate, asymmetry, gamma_recover,
+                      jump_at, scale_at, scaling_convergence, scaling_graph)
 from .symbolic import Code, DualPoint, parse_dual_point, point_from_code
 
 __version__ = "0.1.0"

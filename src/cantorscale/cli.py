@@ -16,11 +16,14 @@ The config is a single JSON document::
     }
 
 Every key is checked when the config is read, whether the command reads it
-or not; ``samples`` lies in [1, 100000], and the key a command needs
+or not; ``samples`` lies in [1, 100000], ``depth`` is at least 1 for
+distortion-check and 6 for dimension-curve, and the key a command needs
 (``dual_point``, or a non-empty ``epsilon_grid``) must be given.  metric-check
 refuses Tent, as the conjugate-map functions do.
 
-Exit status: 0 success, 1 validation failure, 2 numerical non-convergence.
+Exit status: 0 success, 1 validation failure, 2 numerical non-convergence,
+as when dimension-curve meets an eps whose dimension defect 1 - delta
+rounds to 0.
 Numbers are written with Python's shortest round-trip decimal rendering,
 so a fixed config and seed produce byte-identical artifacts.  CSV cells
 hold the bytes ``repr`` gives, made a column at a time by ``_decimal``; a
@@ -55,6 +58,8 @@ CONFIG_KEYS = ("command", "family", "depth", "epsilon", "epsilon_grid",
 #: the key each command needs that has no default
 REQUIRED_KEYS = {"scaling-point": "dual_point", "jump-report": "dual_point",
                  "gap-fit": "epsilon_grid", "dimension-curve": "epsilon_grid"}
+#: the least depth each command takes, where it is above 0
+MIN_DEPTHS = {"distortion-check": 1, "dimension-curve": dimension.MIN_DEPTH}
 #: the chain commands stop at the length floor, which binary64 cylinders
 #: reach by depth ~40, so a deeper config asks for nothing more
 MAX_DEPTH = 1000
@@ -154,9 +159,6 @@ class Experiment:
             self.family = family_from_spec(cfg["family"])
         except CantorScaleError as exc:
             raise ConfigError(f"key 'family': {exc}") from exc
-        self.depth = _integer("depth", cfg.get("depth", 10))
-        if not 0 <= self.depth <= MAX_DEPTH:
-            raise ConfigError(f"key 'depth': {self.depth} outside [0, {MAX_DEPTH}]")
         check = self.family.check_param
         self.eps = check(_real("epsilon", cfg.get("epsilon", 0.0)))
         grid = cfg.get("epsilon_grid")
@@ -183,6 +185,11 @@ class Experiment:
         required = REQUIRED_KEYS.get(self.command)
         if required is not None and not cfg.get(required):
             raise ConfigError(f"missing key {required!r}")
+        self.depth = _integer("depth", cfg.get("depth", 10))
+        min_depth = MIN_DEPTHS.get(self.command, 0)
+        if not min_depth <= self.depth <= MAX_DEPTH:
+            raise ConfigError(f"key 'depth': {self.depth} outside "
+                              f"[{min_depth}, {MAX_DEPTH}]")
         self.prefix = cfg.get("output", self.command.replace("-", "_"))
         # a plain file name, so that the artifacts stay inside out_dir
         if (not isinstance(self.prefix, str) or self.prefix in ("", ".", "..")
@@ -278,14 +285,14 @@ class Experiment:
         return f"scaling-point value={est.value:.8f} +- {est.error_bound:.2e}"
 
     def cmd_gap_fit(self) -> str:
-        fit = geometry.asymptotic_gap_fit(self.family, self.eps_grid,
-                                          depth=min(self.depth, 8))
+        depth = min(self.depth, 8)
+        fit = geometry.asymptotic_gap_fit(self.family, self.eps_grid, depth)
         _write_json(self.path(".json"), {
             "slope": fit.slope,
             "slope_max": fit.slope_max,
             "slope_min": fit.slope_min,
             "band": list(fit.band),
-            "depth": min(self.depth, 8),
+            "depth": depth,
             "rows": [{"epsilon": e, "leading_gap_ratio": r}
                      for e, r in zip(fit.eps, fit.leading_ratios)],
         })
@@ -319,8 +326,6 @@ class Experiment:
         return f"metric-check round_trip={round_trip:.2e}"
 
     def cmd_distortion_check(self) -> str:
-        if self.depth < 1:
-            raise ConfigError("key 'depth': distortion-check needs at least 1")
         n_pass, n_total, worst, _ = geometry.distortion_suite(
             self.family, self.eps, self.n_samples,
             max_word_len=min(self.depth, 15), seed=self.seed)

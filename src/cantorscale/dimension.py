@@ -31,6 +31,10 @@ from .families import MapFamily
 #: Newton stops once a step is this small in delta (ulp(1) is 2.2e-16)
 _STEP_TOL = 1e-15
 _MAX_STEPS = 60
+#: a root whose residual |sum r^delta - 1| is not below this is refused
+_RESIDUAL_TOL = 1e-10
+#: the least depth ``hd_estimate`` takes
+MIN_DEPTH = 6
 
 
 @dataclass
@@ -51,7 +55,7 @@ def pressure_sum(part: Partition, delta: float) -> float:
     return math.fsum((rel ** delta).tolist())
 
 
-def _solve_delta(part: Partition, tol: float = 1e-10) -> tuple[float, float, int]:
+def _solve_delta(part: Partition) -> tuple[float, float, int]:
     """Newton root of F(delta) = log sum r^delta, from delta = 1.
 
     Returns ``(delta, residual, iterations)``.  F is convex and decreasing,
@@ -63,7 +67,7 @@ def _solve_delta(part: Partition, tol: float = 1e-10) -> tuple[float, float, int
     every cell has length 0 has no root.  The returned residual ``|sum
     r^delta - 1|`` is the pairwise numpy sum over the same ``log r``,
     within about log2(cells) ulps of the compensated ``pressure_sum`` one,
-    and must be < ``tol``.
+    and must be < ``_RESIDUAL_TOL``.
     """
     weight = 2.0 if part.mirrored else 1.0
     cells = len(part) // 2 if part.mirrored else len(part)
@@ -86,16 +90,16 @@ def _solve_delta(part: Partition, tol: float = 1e-10) -> tuple[float, float, int
             break
     np.exp(np.multiply(log_r, delta, out=powers), out=powers)
     residual = abs(weight * float(powers.sum()) - 1.0)
-    if not residual < tol:
-        raise ConvergenceError(
-            f"pressure root {delta!r}: residual {residual:.3g} not below {tol:.3g}")
+    if not residual < _RESIDUAL_TOL:
+        raise ConvergenceError(f"pressure root {delta!r}: residual "
+                               f"{residual:.3g} not below {_RESIDUAL_TOL:.3g}")
     return float(delta), residual, iterations
 
 
 def hd_estimate(family: MapFamily, eps: float, depth: int) -> DimensionEstimate:
     """Dimension estimate at one eps with the cross-depth bracket."""
-    if depth < 6:
-        raise DomainError("hd_estimate needs depth >= 6")
+    if depth < MIN_DEPTH:
+        raise DomainError(f"hd_estimate needs depth >= {MIN_DEPTH}")
     levels = partition_levels(family, eps, depth)
     d_prev, _, _ = _solve_delta(levels[depth - 1])
     d_last, residual, iterations = _solve_delta(levels[depth])
@@ -109,7 +113,8 @@ def hd_curve(family: MapFamily, eps_grid, depth: int):
     """Per-eps dimension estimates and the fitted defect exponent.
 
     Returns ``(estimates, slope)`` with ``slope`` the least-squares slope
-    of ``log(1 - delta)`` against ``log eps``.
+    of ``log(1 - delta)`` against ``log eps``.  An eps whose defect
+    ``1 - delta`` rounds to 0 raises ``ConvergenceError``.
     """
     eps_list = sorted(float(e) for e in eps_grid)
     if any(e <= 0 for e in eps_list):
@@ -117,7 +122,11 @@ def hd_curve(family: MapFamily, eps_grid, depth: int):
     if len(set(eps_list)) < 2:
         raise DomainError("hd_curve needs at least two distinct eps")
     ests = [hd_estimate(family, e, depth) for e in eps_list]
-    defect = np.asarray([max(1.0 - est.delta, 1e-300) for est in ests])
+    defect = [1.0 - est.delta for est in ests]
+    for e, d in zip(eps_list, defect):
+        if not d > 0:   # its log would be -inf
+            raise ConvergenceError(f"dimension defect 1 - delta rounds to 0 "
+                                   f"at eps={e}")
     slope = float(np.polyfit(np.log(eps_list), np.log(defect), 1)[0])
     return ests, slope
 

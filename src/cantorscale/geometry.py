@@ -48,7 +48,6 @@ class GapGeometrySummary:
     min_gap_ratio: float
     max_gap_ratio: float
     min_child_ratio: float
-    records: list[GapRecord] | None = None
 
 
 @dataclass
@@ -107,15 +106,14 @@ def gap(family: MapFamily, eps: float, word: Word | None) -> GapRecord:
                       (c1_hi - c1_lo) / parent_len))
 
 
-def gap_geometry(family: MapFamily, eps: float, depth: int,
-                 include_table: bool = False) -> GapGeometrySummary:
+def gap_geometry(family: MapFamily, eps: float,
+                 depth: int) -> GapGeometrySummary:
     """Aggregate gap and child ratios over all words of length <= depth."""
     dlo, dhi = family.domain
     parent_len = np.asarray([dhi - dlo])   # the domain is the parent of level 0
     min_gap, max_gap, min_child = math.inf, -math.inf, math.inf
-    records: list[GapRecord] | None = [] if include_table else None
     # the children of parent j at level k - 1 sit at 2j and 2j + 1 of level k
-    for k, level in enumerate(partition_levels(family, eps, depth)):
+    for level in partition_levels(family, eps, depth):
         lo0, lo1 = level.los[0::2], level.los[1::2]
         hi0, hi1 = level.his[0::2], level.his[1::2]
         r0 = (hi0 - lo0) / parent_len
@@ -124,17 +122,11 @@ def gap_geometry(family: MapFamily, eps: float, depth: int,
         min_gap = min(min_gap, float(g.min()))
         max_gap = max(max_gap, float(g.max()))
         min_child = min(min_child, float(r0.min()), float(r1.min()))
-        if records is not None:
-            words = [format(j, f"0{k}b") for j in range(g.size)] if k else [""]
-            records += map(GapRecord, words,
-                           zip(np.minimum(hi0, hi1).tolist(),
-                               np.maximum(lo0, lo1).tolist()),
-                           g.tolist(), zip(r0.tolist(), r1.tolist()))
         parent_len = level.lengths
 
     return GapGeometrySummary(depth=depth, min_gap_ratio=min_gap,
                               max_gap_ratio=max_gap,
-                              min_child_ratio=min_child, records=records)
+                              min_child_ratio=min_child)
 
 
 def asymptotic_gap_fit(family: MapFamily, eps_grid, depth: int = 0) -> GapFit:

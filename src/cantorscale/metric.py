@@ -298,20 +298,6 @@ def _tilde_deriv_at(family: MapFamily, eps: float, x):
     return family.deriv(eps, x) * num / den
 
 
-def nonlinearity_tilde_q(eps: float, y) -> float:
-    """Nonlinearity of the conjugate quadratic map (gamma = 2).
-
-    ``n(q~)(y) = eps (1+eps) / ((2(1+eps) - (2+eps) x^2) sqrt((1+eps)^2 - x^2))``
-    with ``x = h_inv(y)``.  Identically zero at eps = 0.
-    """
-    m = MetricChange(2.0, eps)
-    x = np.asarray(m.h_inv(y), dtype=float)
-    val = (eps * (1.0 + eps)
-           / ((2.0 * (1.0 + eps) - (2.0 + eps) * x * x)
-              * np.sqrt((1.0 + eps) ** 2 - x * x)))
-    return float(val) if val.ndim == 0 else val
-
-
 def tilde_scaling(family: MapFamily, eps: float, a: DualPoint, depth: int):
     """Scaling estimate of the conjugate map: ratios of h-image lengths."""
     return scale_at(family, eps, a, depth, metric=_metric_for(family, eps))

@@ -48,14 +48,6 @@ class ScalingEstimate:
 
 
 @dataclass
-class HolderFit:
-    C: float
-    lam: float
-    residual: float
-    degenerate: bool = False
-
-
-@dataclass
 class JumpAnalysis:
     a_n: list[float]
     b_n: list[float]
@@ -129,22 +121,19 @@ def scale_at(family: MapFamily, eps: float, a: DualPoint, depth: int,
         error_bound=error_bound, converged=converged)
 
 
-def scaling_graph(family: MapFamily, eps: float, depth: int,
-                  metric=None) -> np.ndarray:
+def scaling_graph(family: MapFamily, eps: float, depth: int) -> np.ndarray:
     """The ratios ``s`` over all words of length depth+1, in x order.
 
     The abscissa embeds the dual point into [0, 1) with the innermost
     coordinate i0 as most significant bit, so graph continuity mirrors
     continuity on the dual Cantor set.  Entry ``k`` has ``x = k / 2^(depth+1)``
-    and the word ``format(k, f"0{depth+1}b")[::-1]``.  ``metric`` switches
-    to ratios of h-image lengths.
+    and the word ``format(k, f"0{depth+1}b")[::-1]``.
     """
     dlo, dhi = family.domain
-    # endpoints by level; the domain is the parent of level 0
-    ends = [([dlo], [dhi])] + [(level.los, level.his)
-                               for level in partition_levels(family, eps, depth)]
-    h = np.asarray if metric is None else metric.h
-    parent_len, child_len = (h(hi) - h(lo) for lo, hi in ends[-2:])
+    levels = partition_levels(family, eps, depth)
+    # the domain is the parent of level 0
+    parent_len = levels[-2].lengths if depth else np.asarray([dhi - dlo])
+    child_len = levels[-1].lengths
     if not np.all(parent_len > 0.0):
         raise ConvergenceError(f"scaling_graph: depth {depth} divides by a "
                                f"level-{depth - 1} cell of length 0")
@@ -167,42 +156,6 @@ def scaling_convergence(family: MapFamily, eps_grid, sample_points, depth: int):
                         for a in sample_points]) for eps in eps_grid]
     return [(eps, float(np.max(np.abs(v - vals[0]))))
             for eps, v in zip(eps_grid, vals)]
-
-
-def holder_fit(family: MapFamily, eps: float, n_pairs: int, depth: int,
-               seed: int = 0) -> HolderFit:
-    """Fit |s(a*) - s(b*)| <= C lambda^n on sampled pairs sharing n coordinates.
-
-    For each n the upper envelope max |delta s| over the sampled pairs is
-    fitted by least squares in log scale.  Returns the degenerate flag when
-    all deltas vanish (constant scaling function).  The fit takes n = 2 ..
-    depth - 3, so it needs ``depth >= 6`` for two n, and ``n_pairs >= 1``.
-    """
-    if depth < 6 or n_pairs < 1:
-        raise DomainError(f"holder_fit needs depth >= 6 and n_pairs >= 1, "
-                          f"got depth={depth}, n_pairs={n_pairs}")
-    rng = np.random.default_rng(seed)
-    ns = list(range(2, depth - 2))
-    env = []
-    for n in ns:
-        worst = 0.0
-        for _ in range(n_pairs):
-            shared = rng.integers(0, 2, size=n)
-            ca = np.concatenate([shared, [0], rng.integers(0, 2, size=depth - n)])
-            cb = np.concatenate([shared, [1], rng.integers(0, 2, size=depth - n)])
-            sa = scale_at(family, eps, DualPoint(ca, "truncated"), depth).value
-            sb = scale_at(family, eps, DualPoint(cb, "truncated"), depth).value
-            worst = max(worst, abs(sa - sb))
-        env.append(worst)
-    env_arr = np.asarray(env)
-    if np.all(env_arr < 1e-11):
-        return HolderFit(C=0.0, lam=0.0, residual=0.0, degenerate=True)
-    mask = env_arr > 0
-    slope, intercept = np.polyfit(np.asarray(ns)[mask], np.log(env_arr[mask]), 1)
-    fit = intercept + slope * np.asarray(ns)[mask]
-    residual = float(np.max(np.abs(np.log(env_arr[mask]) - fit)))
-    return HolderFit(C=float(np.exp(intercept)), lam=float(np.exp(slope)),
-                     residual=residual)
 
 
 def _require_bh(family: MapFamily) -> float:
@@ -266,9 +219,10 @@ def jump_at(family: MapFamily, a: DualPoint, depth: int) -> JumpAnalysis:
     tau1 = b_seq[-1] / c_seq[-1] if c_seq[-1] > 0 else float("inf")
     tau2 = a_seq[-1] / c_seq[-1] if c_seq[-1] > 0 else float("inf")
 
-    def cauchy(seq, tol=1e-5):
+    def cauchy(seq):
         tail = seq[-5:]
-        return len(tail) >= 2 and max(tail) - min(tail) < tol * (1.0 + abs(tail[-1]))
+        return (len(tail) >= 2
+                and max(tail) - min(tail) < 1e-5 * (1.0 + abs(tail[-1])))
 
     converged = cauchy(direct_seq) and cauchy(s1_seq)
     return JumpAnalysis(

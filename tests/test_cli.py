@@ -320,8 +320,20 @@ def test_tent_distortion_check_runs_at_eps_zero(tmp_path):
     ({"command": "jump-report", "family": {"kind": "quadratic"},
       "dual_point": "0^inf|10.", "depth": 4}, 2,
      "non-convergence: jump sequences", ["cfg.json", "jump_report.txt"]),
+    ({"command": "distortion-check", "family": {"kind": "quadratic"},
+      "epsilon": 0.2, "samples": 50, "depth": 0}, 1,
+     "error: key 'depth': 0 outside [1, 1000]", ["cfg.json"]),
+    ({"command": "dimension-curve", "family": {"kind": "quadratic"},
+      "epsilon_grid": [0.1, 0.2], "depth": 5}, 1,
+     "error: key 'depth': 5 outside [6, 1000]", ["cfg.json"]),
+    # delta is exactly 1.0 at eps = 1e-16, so its defect has no log
+    ({"command": "dimension-curve", "family": {"kind": "quadratic"},
+      "epsilon_grid": [1e-16, 1e-15], "depth": 8}, 2,
+     "non-convergence: dimension defect 1 - delta rounds to 0 at eps=1e-16",
+     ["cfg.json"]),
 ], ids=["not-an-object", "distortion-at-eps-0", "scaling-point-unconverged",
-        "jump-report-unconverged"])
+        "jump-report-unconverged", "distortion-depth-0",
+        "dimension-curve-depth-5", "dimension-curve-defect-0"])
 def test_exit_status_and_artifacts_of_a_failed_run(tmp_path, capsys, cfg,
                                                   status, message, written):
     # a refused config writes nothing; an unconverged estimate still

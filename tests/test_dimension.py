@@ -189,9 +189,10 @@ def test_newton_iterations_bounded():
         cs.partition(cs.Quadratic(), 0.3, 10))[2]
 
 
-def test_newton_root_raises_above_tolerance():
+def test_newton_root_raises_above_tolerance(monkeypatch):
+    monkeypatch.setattr(cs.dimension, "_RESIDUAL_TOL", 0.0)
     with pytest.raises(ConvergenceError):
-        _solve_delta(cs.partition(cs.Quadratic(), 0.3, 8), tol=0.0)
+        _solve_delta(cs.partition(cs.Quadratic(), 0.3, 8))
 
 
 def test_newton_root_raises_when_every_cell_has_length_zero():
@@ -317,6 +318,12 @@ def test_delta0_refuses_negative_eps():
 def test_hd_curve_needs_two_distinct_eps(grid):
     with pytest.raises(cs.DomainError, match="two distinct eps"):
         cs.hd_curve(cs.Quadratic(), grid, 8)
+
+
+def test_hd_curve_refuses_a_defect_that_rounds_to_0():
+    # delta is exactly 1.0 at eps = 1e-16, so log(1 - delta) would be -inf
+    with pytest.raises(ConvergenceError, match="rounds to 0 at eps=1e-16"):
+        cs.hd_curve(cs.Quadratic(), [1e-16, 1e-15], 8)
 
 
 def test_zero_run_examples():

@@ -368,37 +368,33 @@ def test_min_child_ratio_stability():
     assert max(ratios) / min(ratios) < 1.2
 
 
-def _gap_geometry_loop(family, eps, depth, include_table=False):
+def _gap_geometry_loop(family, eps, depth):
     """Reference: ``gap_geometry`` as one Python visit per parent cylinder."""
     levels = cs.partition_levels(family, eps, depth)
     dlo, dhi = family.domain
     min_gap, max_gap, min_child = math.inf, -math.inf, math.inf
-    records = [] if include_table else None
 
-    def visit(word_str, p_len, lo0, hi0, lo1, hi1):
+    def visit(p_len, lo0, hi0, lo1, hi1):
         nonlocal min_gap, max_gap, min_child
         r0 = (hi0 - lo0) / p_len
         r1 = (hi1 - lo1) / p_len
         g = max(1.0 - r0 - r1, 0.0)
         min_gap, max_gap = min(min_gap, g), max(max_gap, g)
         min_child = min(min_child, r0, r1)
-        if records is not None:
-            records.append(cs.GapRecord(word_str, (min(hi0, hi1), max(lo0, lo1)),
-                                        g, (r0, r1)))
 
     l0 = levels[0]
-    visit("", dhi - dlo, float(l0.los[0]), float(l0.his[0]),
+    visit(dhi - dlo, float(l0.los[0]), float(l0.his[0]),
           float(l0.los[1]), float(l0.his[1]))
     for k in range(1, depth + 1):
         parent, child = levels[k - 1], levels[k]
         p_len = parent.lengths
         for j in range(len(parent)):
-            visit(str(parent.word(j)), float(p_len[j]),
+            visit(float(p_len[j]),
                   float(child.los[2 * j]), float(child.his[2 * j]),
                   float(child.los[2 * j + 1]), float(child.his[2 * j + 1]))
     return GapGeometrySummary(depth=depth, min_gap_ratio=min_gap,
                               max_gap_ratio=max_gap,
-                              min_child_ratio=min_child, records=records)
+                              min_child_ratio=min_child)
 
 
 @pytest.mark.parametrize("family,eps", [
@@ -408,9 +404,8 @@ def _gap_geometry_loop(family, eps, depth, include_table=False):
 ], ids=["quadratic-0", "quadratic-0.3", "tent", "gamma3", "asym", "figure6"])
 @pytest.mark.parametrize("depth", [0, 1, 5, 9])
 def test_gap_geometry_matches_the_per_parent_loop(family, eps, depth):
-    for include_table in (False, True):
-        assert (cs.gap_geometry(family, eps, depth, include_table)
-                == _gap_geometry_loop(family, eps, depth, include_table))
+    assert (cs.gap_geometry(family, eps, depth)
+            == _gap_geometry_loop(family, eps, depth))
 
 
 def _conjugate_derivative_bounds(family, eps, alpha):

@@ -179,21 +179,6 @@ def test_tilde_deriv_matches_finite_differences(family, eps):
         assert d == pytest.approx(fd, rel=1e-5)
 
 
-def test_nonlinearity_examples():
-    assert cs.nonlinearity_tilde_q(0.0, 0.37) == pytest.approx(0.0, abs=1e-14)
-    assert cs.nonlinearity_tilde_q(0.1, 0.0) == pytest.approx(
-        0.1 * 1.1 / (2 * 1.1 * 1.1), abs=1e-12)
-
-
-def test_nonlinearity_linear_in_eps():
-    # |n(q~)| <= C1 * eps on the middle region with a uniform constant
-    for eps in (0.01, 0.05, 0.1, 0.2, 0.3):
-        m = cs.MetricChange(2.0, eps)
-        ys = np.asarray(m.h(np.linspace(-0.6, 0.6, 101)))
-        c1 = float(np.max(np.abs(cs.nonlinearity_tilde_q(eps, ys)))) / eps
-        assert 0.3 < c1 < 1.2
-
-
 def test_tilde_scaling_quadratic_is_half_everywhere():
     q = cs.Quadratic()
     for a in (cs.DualPoint((), (1, 0)), cs.DualPoint((), "zeros"),

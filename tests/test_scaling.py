@@ -70,15 +70,6 @@ def test_estimate_invariants():
     assert abs(est.value - est.approximant_sequence[-1]) <= est.error_bound
 
 
-def test_additivity_identity():
-    # s(w0) + s(w1) + |G_w|/|I_w| = 1 at every word
-    for family, eps in ((cs.Quadratic(), 0.5), (cs.GammaPower(3.0), 0.2)):
-        summary = cs.gap_geometry(family, eps, 8, include_table=True)
-        for rec in summary.records:
-            assert rec.gap_ratio + sum(rec.child_ratios) == pytest.approx(
-                1.0, abs=1e-12)
-
-
 def _graph_rows(s):
     """``(x, word, s)`` rows rebuilt from ``scaling_graph``'s x-ordered array."""
     n_bits = s.size.bit_length() - 1
@@ -95,13 +86,15 @@ def test_scaling_graph_rows():
 
 
 def test_scaling_graph_additivity_quadratic():
-    rows = _graph_rows(cs.scaling_graph(cs.Quadratic(), 0.5, 8))
-    by_word = {w: s for _, w, s in rows}
-    for _, w, _ in rows:
-        parent = w[:-1]
-        rec = cs.gap(cs.Quadratic(), 0.5, cs.Word(tuple(int(b) for b in parent)))
-        assert by_word[parent + "0"] + by_word[parent + "1"] == pytest.approx(
-            1.0 - rec.gap_ratio, abs=1e-12)
+    # s(w0) + s(w1) + |G_w|/|I_w| = 1 at every word
+    for family, eps in ((cs.Quadratic(), 0.5), (cs.GammaPower(3.0), 0.2)):
+        rows = _graph_rows(cs.scaling_graph(family, eps, 8))
+        by_word = {w: s for _, w, s in rows}
+        for _, w, _ in rows:
+            parent = w[:-1]
+            rec = cs.gap(family, eps, cs.Word(tuple(int(b) for b in parent)))
+            assert by_word[parent + "0"] + by_word[parent + "1"] == (
+                pytest.approx(1.0 - rec.gap_ratio, abs=1e-12))
 
 
 def test_monotone_refinement_delta_decay():
@@ -131,26 +124,6 @@ def test_scaling_convergence_examples():
 def test_scaling_convergence_needs_a_sample_point():
     with pytest.raises(cs.DomainError, match="sample point"):
         cs.scaling_convergence(cs.Quadratic(), [0.1, 0.2], [], 12)
-
-
-@pytest.mark.parametrize("n_pairs,depth", [(5, 5), (5, 3), (0, 12)])
-def test_holder_fit_refuses_a_fit_from_one_n_or_no_pair(n_pairs, depth):
-    with pytest.raises(cs.DomainError, match="holder_fit needs"):
-        cs.holder_fit(cs.Quadratic(), 0.5, n_pairs, depth)
-
-
-def test_holder_fit():
-    degenerate = cs.holder_fit(cs.Tent(), 0.5, 10, 12)
-    assert degenerate.degenerate and degenerate.C == 0.0
-    # depth 6 is the least depth that fits two n
-    assert cs.holder_fit(cs.Tent(), 0.5, 1, 6).degenerate
-
-    fit = cs.holder_fit(cs.Quadratic(), 0.5, 25, 14, seed=1)
-    assert not fit.degenerate
-    assert 0.0 < fit.lam < 1.0
-
-    fit0 = cs.holder_fit(cs.Quadratic(), 0.0, 25, 14, seed=1)
-    assert 0.0 < fit0.lam < 1.0
 
 
 def test_jump_at_zeros_point():
@@ -251,23 +224,14 @@ def test_chain_cost_follows_the_depth_reached(chain):
     assert calls[1] <= calls[0] + _CHAIN_BLOCK
 
 
-def _scaling_graph_words(family, eps, depth, metric=None):
+def _scaling_graph_words(family, eps, depth):
     """Reference: ``scaling_graph`` sorted by ``argsort`` with one ``Word`` per row."""
     levels = cs.partition_levels(family, eps, depth)
     child = levels[depth]
     n_bits = depth + 1
-    if metric is None:
-        child_len = child.lengths
-        parent_len = (levels[depth - 1].lengths if depth >= 1
-                      else np.asarray([family.domain[1] - family.domain[0]]))
-    else:
-        child_len = metric.h(child.his) - metric.h(child.los)
-        if depth >= 1:
-            p = levels[depth - 1]
-            parent_len = metric.h(p.his) - metric.h(p.los)
-        else:
-            parent_len = np.asarray([metric.h(family.domain[1])
-                                     - metric.h(family.domain[0])])
+    child_len = child.lengths
+    parent_len = (levels[depth - 1].lengths if depth >= 1
+                  else np.asarray([family.domain[1] - family.domain[0]]))
     s = child_len / parent_len[np.arange(len(child)) >> 1]
     idx = np.arange(len(child), dtype=np.int64)
     rev = np.zeros_like(idx)
@@ -287,12 +251,8 @@ def _scaling_graph_words(family, eps, depth, metric=None):
 ], ids=["quadratic-0", "quadratic-0.3", "tent", "gamma3", "asym", "figure6"])
 @pytest.mark.parametrize("depth", [0, 1, 4, 9])
 def test_scaling_graph_matches_the_word_loop(family, eps, depth):
-    metrics = [None]
-    if family.gamma > 1:
-        metrics.append(cs.MetricChange(family.gamma, eps))
-    for metric in metrics:
-        assert (_graph_rows(cs.scaling_graph(family, eps, depth, metric=metric))
-                == _scaling_graph_words(family, eps, depth, metric=metric))
+    assert (_graph_rows(cs.scaling_graph(family, eps, depth))
+            == _scaling_graph_words(family, eps, depth))
 
 
 def test_scale_at_reads_coordinates_as_far_as_the_chain_reaches(monkeypatch):
