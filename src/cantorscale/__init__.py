@@ -14,10 +14,9 @@ from .errors import (BudgetExceededError, CantorScaleError, ConvergenceError,
                      DomainError, ParameterRangeError)
 from .families import (AsymQuadratic, Figure6, GammaPower, MapFamily,
                        Quadratic, Tent, family_from_spec, make_family)
-from .geometry import (DistortionCheck, GapFit, GapRecord,
-                       GoodFamilyConstants, asymptotic_gap_fit,
-                       distortion_check, distortion_suite, estimate_constants,
-                       gap, gap_geometry)
+from .geometry import (GapFit, GapRecord, GoodFamilyConstants,
+                       asymptotic_gap_fit, distortion_suite,
+                       estimate_constants, gap, gap_geometry)
 from .metric import MetricChange, tilde_deriv, tilde_eval, tilde_scaling
 from .scaling import (JumpAnalysis, ScalingEstimate, asymmetry, gamma_recover,
                       jump_at, scale_at, scaling_convergence, scaling_graph)

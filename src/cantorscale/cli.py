@@ -63,7 +63,7 @@ MIN_DEPTHS = {"distortion-check": 1, "dimension-curve": dimension.MIN_DEPTH}
 #: the chain commands stop at the length floor, which binary64 cylinders
 #: reach by depth ~40, so a deeper config asks for nothing more
 MAX_DEPTH = 1000
-#: distortion-check holds about 1.2 kB a sample: this caps it near 120 MB
+#: distortion-check's chain peaks near 1.2 kB a sample: this caps it near 120 MB
 MAX_SAMPLES = 100_000
 #: rows of the partition and scaling-graph CSVs formatted per write; a
 #: mirrored partition formats this many left-half rows and derives

@@ -5,7 +5,7 @@ gap ``G_w``; the collection of ratios ``|G_w| / |I_w|`` is the gap
 geometry of the invariant set.  For a family escaping at rate eps the
 leading-gap ratio scales like ``eps^(1/gamma)`` with a uniform
 determining constant, which ``asymptotic_gap_fit`` verifies by log-log
-regression.  ``estimate_constants`` and ``distortion_check`` implement
+regression.  ``estimate_constants`` and ``distortion_suite`` implement
 the Denjoy-Koebe distortion inequality with empirically estimated
 constants.
 """
@@ -78,14 +78,6 @@ class GoodFamilyConstants:
     D: float
     E: float
     degenerate: bool = False
-
-
-@dataclass
-class DistortionCheck:
-    lhs: float
-    rhs_orbit: float
-    rhs_uniform: float
-    passed: bool
 
 
 def gap(family: MapFamily, eps: float, word: Word | None) -> GapRecord:
@@ -186,7 +178,7 @@ def default_alpha(family: MapFamily) -> float:
 
 
 def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
-    """Empirical distortion constants of the family at one eps.
+    """Empirical constants of the bounds that ``distortion_suite`` checks.
 
     ``c1, K1`` bound ``f'`` on the depth-1 cylinders I_0 and I_1 (every
     backward image lives there), ``c2, K2`` bound the conjugate map's derivative on the
@@ -200,12 +192,7 @@ def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
         D = (A + B C2) C3,         E = C C3.
     """
     eps = family.check_param(eps)
-    return _estimate_constants(family, eps, partition_levels(family, eps, 2))
-
-
-def _estimate_constants(family: MapFamily, eps: float, levels):
-    # the body of estimate_constants, given the partitions of depth 0..2
-    eta0, eta1, eta2 = levels
+    eta0, eta1, eta2 = partition_levels(family, eps, 2)
     alpha = default_alpha(family)
     g = family.gamma
 
@@ -271,10 +258,11 @@ def _estimate_constants(family: MapFamily, eps: float, levels):
 
 def _distortion(family: MapFamily, eps: float, sides, steps, x, y,
                 constants: GoodFamilyConstants):
-    """``distortion_check`` of many samples, as the arrays ``(lhs, rhs_orbit,
-    rhs_uniform, passed)``: sample ``i`` takes the first ``steps[i]``
-    branches of column ``i`` of ``sides`` (or of a 1-D ``sides``) from the
-    pair ``(x[i], y[i])``."""
+    """The arrays ``(lhs, rhs_orbit, rhs_uniform, passed)``: sample ``i``
+    takes the first ``steps[i]`` branches of column ``i`` of ``sides`` from
+    ``(x[i], y[i])``; ``lhs = |g_w'(x)| / |g_w'(y)|`` by the chain rule,
+    ``rhs_orbit`` sums the backward images and ``rhs_uniform`` absorbs the
+    sums into the D, E constants."""
     dlo, dhi = family.domain
     d_xy = np.minimum(np.minimum(x, y) - dlo, dhi - np.maximum(x, y))
     j0 = np.abs(np.subtract(y, x))
@@ -297,19 +285,6 @@ def _distortion(family: MapFamily, eps: float, sides, steps, x, y,
             (lhs <= rhs_orbit * slack) & (lhs <= rhs_unif * slack))
 
 
-def distortion_check(family: MapFamily, eps: float, word: Word,
-                     x: float, y: float,
-                     constants: GoodFamilyConstants) -> DistortionCheck:
-    """Distortion of the composed inverse branch against both bounds.
-
-    ``lhs = |g_w'(x)| / |g_w'(y)|`` by the chain rule over the backward
-    orbit; ``rhs_orbit`` accumulates the backward-image sums explicitly,
-    ``rhs_uniform`` absorbs them into the D, E constants.
-    """
-    return DistortionCheck(*(v.item() for v in _distortion(
-        family, eps, word.bits[::-1], [len(word)], [x], [y], constants)))
-
-
 def distortion_suite(family: MapFamily, eps: float, n_samples: int,
                      max_word_len: int = 15, seed: int = 0):
     """Seeded random (word, x, y) distortion checks inside eta_1 cells.
@@ -317,16 +292,18 @@ def distortion_suite(family: MapFamily, eps: float, n_samples: int,
     The samples are drawn as arrays, one RNG call per quantity, and checked
     in one chain.  A sample whose cell the boundary distance leaves empty,
     or whose two points coincide, is dropped and not redrawn.
-    Returns ``(n_passed, n_total, worst_margin, checks)`` where
-    ``worst_margin`` is the smallest rhs/lhs ratio seen.
+    Returns ``(n_passed, n_total, worst_margin, arrays)`` where
+    ``worst_margin`` is the smallest rhs/lhs ratio seen and ``arrays`` is
+    ``_distortion``'s ``(lhs, rhs_orbit, rhs_uniform, passed)`` of the
+    kept samples, in draw order.
     """
     if n_samples < 1 or max_word_len < 1:
         raise ValueError("n_samples and max_word_len must be >= 1")
     rng = np.random.default_rng(seed)
-    levels = partition_levels(family, eps, 2)
-    constants = _estimate_constants(family, eps, levels)
-    lo_ok = np.maximum(levels[1].los, family.domain[0] + MIN_BOUNDARY_DISTANCE)
-    hi_ok = np.minimum(levels[1].his, family.domain[1] - MIN_BOUNDARY_DISTANCE)
+    constants = estimate_constants(family, eps)
+    eta1 = partition_levels(family, eps, 1)[1]
+    lo_ok = np.maximum(eta1.los, family.domain[0] + MIN_BOUNDARY_DISTANCE)
+    hi_ok = np.minimum(eta1.his, family.domain[1] - MIN_BOUNDARY_DISTANCE)
     cell = rng.integers(0, len(lo_ok), n_samples)
     lo, hi = lo_ok[cell], hi_ok[cell]
     # rng.uniform's map of random(), which, unlike uniform, takes the
@@ -337,10 +314,8 @@ def distortion_suite(family: MapFamily, eps: float, n_samples: int,
     sides = rng.integers(0, 2, size=(max_word_len, n_samples))
     keep = (hi > lo) & (x != y)
     steps = steps[keep]
-    lhs, rhs_orbit, rhs_unif, passed = _distortion(
+    arrays = lhs, rhs_orbit, rhs_unif, passed = _distortion(
         family, eps, sides[:steps.max(initial=0), keep], steps, x[keep],
         y[keep], constants)
     worst = np.min(np.minimum(rhs_orbit, rhs_unif) / lhs, initial=math.inf)
-    return (int(np.sum(passed)), len(steps), float(worst),
-            list(map(DistortionCheck, lhs.tolist(), rhs_orbit.tolist(),
-                     rhs_unif.tolist(), passed.tolist())))
+    return int(np.sum(passed)), len(steps), float(worst), arrays

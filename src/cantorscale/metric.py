@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .families import MapFamily
+from .families import MapFamily, _check_side
 from .scaling import scale_at
 from .symbolic import DualPoint
 
@@ -264,6 +264,7 @@ def tilde_deriv(family: MapFamily, eps: float, y,
                 side: int | None = None) -> float:
     """f~'(y) by the chain rule, with one-sided limits at y in {-1, 0, 1}."""
     m = _metric_for(family, eps)
+    _check_side(side)
     g = family.gamma
     p = (g - 1.0) / g
     y = float(y)

@@ -264,6 +264,16 @@ def test_hd_estimate_bracket_contains_the_ratio_root(eps):
     assert lo <= root <= hi
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND dimension.py hd_curve: the defect 1 - delta keeps delta's "
+    "absolute rounding, about 1e-16, so at eps near 1e-15 it is off by "
+    "several percent and so is the fitted slope"))
+def test_hd_curve_tent_slope_at_tiny_eps():
+    # the tent's defect log1p(eps/2) / log(2 + eps) has slope 1 in log eps
+    _rows, slope = cs.hd_curve(cs.Tent(), [1e-15, 1e-14, 1e-13], 8)
+    assert slope == pytest.approx(1.0, abs=1e-3)
+
+
 def test_hd_curve_tent_closed_form():
     grid = [0.1, 0.3, 0.5, 1.0]
     rows, _slope = cs.hd_curve(cs.Tent(), grid, 14)

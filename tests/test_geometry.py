@@ -114,28 +114,38 @@ def test_constants_continuity_in_eps():
     assert a.c1 == pytest.approx(b.c1, rel=0.1)
 
 
+def _check_one(family, eps, word, x, y, constants):
+    """``geometry._distortion`` of the one sample (word, x, y), as the floats
+    ``(lhs, rhs_orbit, rhs_uniform, passed)``."""
+    sides = [[b] for b in word.bits[::-1]]   # one column, innermost first
+    return [v.item() for v in geometry._distortion(
+        family, eps, sides, [len(word)], [x], [y], constants)]
+
+
 def test_distortion_check_equal_points():
     k = cs.estimate_constants(cs.Quadratic(), 0.2)
-    chk = cs.distortion_check(cs.Quadratic(), 0.2, cs.Word((0, 1, 1)), 0.4, 0.4, k)
-    assert chk.lhs == pytest.approx(1.0, abs=1e-12)
-    assert chk.passed
+    lhs, _, _, passed = _check_one(cs.Quadratic(), 0.2, cs.Word((0, 1, 1)),
+                                   0.4, 0.4, k)
+    assert lhs == pytest.approx(1.0, abs=1e-12)
+    assert passed
 
 
 def test_distortion_check_tent_unit():
     k = cs.estimate_constants(cs.Tent(), 0.5)
-    chk = cs.distortion_check(cs.Tent(), 0.5, cs.Word((0, 1)), -0.5, 0.2, k)
-    assert chk.lhs == pytest.approx(1.0, abs=1e-10)
+    lhs = _check_one(cs.Tent(), 0.5, cs.Word((0, 1)), -0.5, 0.2, k)[0]
+    assert lhs == pytest.approx(1.0, abs=1e-10)
 
 
 def test_orbit_bound_tighter_than_uniform():
     k = cs.estimate_constants(cs.Quadratic(), 0.2)
-    chk = cs.distortion_check(cs.Quadratic(), 0.2, cs.Word((0, 1, 0, 1)), -0.3, 0.5, k)
-    assert chk.rhs_orbit <= chk.rhs_uniform
-    assert chk.passed
+    _, rhs_orbit, rhs_uniform, passed = _check_one(
+        cs.Quadratic(), 0.2, cs.Word((0, 1, 0, 1)), -0.3, 0.5, k)
+    assert rhs_orbit <= rhs_uniform
+    assert passed
 
 
 def _orbit_sums(family, eps, word, x, y, alpha):
-    """The backward-orbit sums of ``distortion_check``, one point at a time."""
+    """The backward-orbit sums of ``_distortion``, one point at a time."""
     log_lhs = sum_len = sum_len_alpha = 0.0
     for bit in reversed(word.bits):
         x = family.inverse_branch(eps, bit, x)
@@ -156,30 +166,34 @@ def test_distortion_check_matches_scalar_orbit(family, eps):
     for _ in range(30):
         word = cs.Word(tuple(int(b) for b in rng.integers(0, 2, size=12)))
         x, y = rng.uniform(-0.9, 0.9, size=2)
-        chk = cs.distortion_check(family, eps, word, float(x), float(y), k)
+        got_lhs, got_rhs_orbit, _, _ = _check_one(family, eps, word, float(x),
+                                                  float(y), k)
         lhs, sum_len, sum_len_alpha = _orbit_sums(family, eps, word, x, y,
                                                   k.alpha)
-        assert chk.lhs == pytest.approx(lhs, rel=1e-14)
+        assert got_lhs == pytest.approx(lhs, rel=1e-14)
         d_xy = min(min(x, y) + 1.0, 1.0 - max(x, y))
         rhs = math.exp((k.A + k.B * sum_len + k.C * abs(y - x) / d_xy)
                        * sum_len_alpha)
         # scalar and array pow may round an orbit point differently; the
         # short lengths in the sums magnify that ulp, exp the sums' error
-        assert chk.rhs_orbit == pytest.approx(rhs, rel=1e-11)
+        assert got_rhs_orbit == pytest.approx(rhs, rel=1e-11)
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.2, 0.5])
 def test_distortion_suite_all_pass(eps):
-    passed, total, worst, checks = cs.distortion_suite(
+    passed, total, worst, arrays = cs.distortion_suite(
         cs.Quadratic(), eps, 500, seed=11)
     assert total == 500
     assert passed == total
-    assert len(checks) == total
+    assert [(a.dtype, a.shape) for a in arrays] == (
+        [(np.float64, (total,))] * 3 + [(np.bool_, (total,))])
+    assert np.all(arrays[3])
     assert worst >= 0
 
 
 def _distortion_check_loop(family, eps, word, x, y, constants):
-    """Reference: ``distortion_check`` as one chain of scalar sums."""
+    """Reference: ``_distortion`` of one sample as one chain of scalar sums,
+    as ``(lhs, rhs_orbit, rhs_uniform, passed)``."""
     x_lo, x_hi = (x, y) if x <= y else (y, x)
     dlo, dhi = family.domain
     d_xy = min(x_lo - dlo, dhi - x_hi)
@@ -199,9 +213,8 @@ def _distortion_check_loop(family, eps, word, x, y, constants):
                           + constants.C * j0 / d_xy) * sum_len_alpha)
     rhs_unif = safe_exp((constants.D + constants.E / d_xy) * j0 ** a)
     slack = 1.0 + 1e-9
-    return cs.DistortionCheck(
-        lhs=lhs, rhs_orbit=rhs_orbit, rhs_uniform=rhs_unif,
-        passed=(lhs <= rhs_orbit * slack and lhs <= rhs_unif * slack))
+    return (lhs, rhs_orbit, rhs_unif,
+            lhs <= rhs_orbit * slack and lhs <= rhs_unif * slack)
 
 
 def _distortion_suite_loop(family, eps, n_samples, max_word_len=15, seed=0):
@@ -218,28 +231,27 @@ def _distortion_suite_loop(family, eps, n_samples, max_word_len=15, seed=0):
     xs, ys = lo_ok + (hi_ok - lo_ok) * rng.random((2, n_samples))
     steps = rng.integers(1, max_word_len + 1, n_samples)
     sides = rng.integers(0, 2, size=(max_word_len, n_samples))
-    n_pass, worst, checks = 0, math.inf, []
+    worst, checks = math.inf, []
     for i in range(n_samples):
         if hi_ok[i] <= lo_ok[i] or xs[i] == ys[i]:
             continue
         word = cs.Word(tuple(int(b) for b in sides[:steps[i], i][::-1]))
-        chk = _distortion_check_loop(family, eps, word, float(xs[i]),
-                                     float(ys[i]), constants)
+        lhs, rhs_orbit, rhs_unif, _ = chk = _distortion_check_loop(
+            family, eps, word, float(xs[i]), float(ys[i]), constants)
         checks.append(chk)
-        n_pass += chk.passed
-        worst = min(worst, min(chk.rhs_orbit, chk.rhs_uniform) / chk.lhs)
-    return n_pass, len(checks), worst, checks
+        worst = min(worst, min(rhs_orbit, rhs_unif) / lhs)
+    arrays = tuple(map(np.array, zip(*checks)))
+    return int(np.sum(arrays[3])), len(checks), worst, arrays
 
 
 def _assert_same_suite(got, ref):
-    passed, total, worst, checks = got
-    ref_passed, ref_total, ref_worst, ref_checks = ref
+    passed, total, worst, arrays = got
+    ref_passed, ref_total, ref_worst, ref_arrays = ref
     assert (passed, total) == (ref_passed, ref_total)
-    assert [c.passed for c in checks] == [c.passed for c in ref_checks]
+    assert np.array_equal(arrays[3], ref_arrays[3])
     assert worst == pytest.approx(ref_worst, rel=1e-13)
-    for name in ("lhs", "rhs_orbit", "rhs_uniform"):
-        have = np.asarray([getattr(c, name) for c in checks])
-        want = np.asarray([getattr(c, name) for c in ref_checks])
+    # lhs, rhs_orbit and rhs_uniform
+    for have, want in zip(arrays[:3], ref_arrays[:3]):
         assert np.array_equal(np.isinf(have), np.isinf(want))
         finite = np.isfinite(want)
         assert np.allclose(have[finite], want[finite], rtol=1e-13, atol=0.0)
@@ -296,10 +308,9 @@ SUITE_PINS = [
     f"{c[0].kind}{c[0].extra.get('gamma', '')}-{c[1]}-seed{c[4]}"
     for c in SUITE_CASES])
 def test_distortion_suite_is_pinned_bit_for_bit(case, pin):
-    n_pass, n_total, worst, checks = cs.distortion_suite(*case)
-    arrays = np.array([[c.lhs, c.rhs_orbit, c.rhs_uniform] for c in checks]).T
-    assert (n_pass, n_total, repr(worst)) == pin[:3]
-    assert hashlib.sha256(arrays.tobytes()).hexdigest() == pin[3]
+    n_pass, n_total, worst, arrays = cs.distortion_suite(*case)
+    digest = hashlib.sha256(np.concatenate(arrays[:3]).tobytes()).hexdigest()
+    assert (n_pass, n_total, repr(worst), digest) == pin
 
 
 def test_distortion_suite_drops_the_samples_of_an_empty_cell(monkeypatch):

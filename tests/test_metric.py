@@ -165,6 +165,14 @@ def test_tilde_deriv_examples():
         cs.tilde_deriv(q, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("side", [2, -1, 0.5])
+@pytest.mark.parametrize("y", [0.0, 0.3])
+def test_tilde_deriv_refuses_a_side_other_than_0_or_1(y, side):
+    # only y = 0 reads the side, but a side is checked wherever it is given
+    with pytest.raises(ValueError, match=f"side must be 0 or 1, got {side}"):
+        cs.tilde_deriv(cs.Quadratic(), 0.1, y, side=side)
+
+
 @pytest.mark.parametrize("family,eps", [
     (cs.Quadratic(), 0.3),
     (cs.GammaPower(3.0), 0.0),
