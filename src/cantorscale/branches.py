@@ -67,25 +67,32 @@ def apply_branches(family: MapFamily, eps: float, sides,
 
     A step is one side for all points, or a row of one side per point
     (``sides`` of shape ``(steps, n)`` for points of shape ``(n, ...)``,
-    broadcast over the trailing axes), picked by ``np.where``.  Only the
-    first step is the checked ``inverse_branch``: a branch maps the domain
-    into itself, so later steps run the unchecked ``_inverse``.
+    broadcast over the trailing axes).  Only the first step is the checked
+    ``inverse_branch``: a branch maps the domain into itself, so later steps
+    run the unchecked ``_inverse`` straight into their rows.
     """
     if per_point := np.ndim(sides) == 2:
         sides = np.asarray(sides)
         if not np.all((sides == 0) | (sides == 1)):
             raise ValueError(f"sides must be 0 or 1, got {np.ravel(sides)}")
-        sides = np.reshape(sides, sides.shape + (1,) * (np.ndim(points) - 1))
+        sides = np.reshape(sides == 1, sides.shape + (1,) * (np.ndim(points) - 1))
     elif bad := [side for side in sides if side not in (0, 1)]:
         raise ValueError(f"side must be 0 or 1, got {bad[0]}")
     rows = np.empty((len(sides) + 1,) + np.shape(points))
     rows[0] = points
-    inverse = family.inverse_branch
+    scratch = np.empty(np.shape(points)) if per_point else None
     for k, side in enumerate(sides):
-        rows[k + 1] = (np.where(side, inverse(eps, 1, rows[k]),
-                                inverse(eps, 0, rows[k]))
-                       if per_point else inverse(eps, side, rows[k]))
-        inverse, eps = family._inverse, float(eps)  # as check_param returns it
+        y, row = rows[k], rows[k + 1, ...]  # a 0-d view for scalar points
+        if k == 0:
+            inverse = family.inverse_branch
+            row[...] = (np.where(side, inverse(eps, 1, y), inverse(eps, 0, y))
+                        if per_point else inverse(eps, side, y))
+            eps = float(eps)  # as check_param returns it
+        elif per_point:  # side 1 goes through scratch where the side is 1
+            family._inverse(eps, 0, y, row)
+            np.copyto(row, family._inverse(eps, 1, y, scratch), where=side)
+        else:
+            family._inverse(eps, side, y, row)
     return rows
 
 

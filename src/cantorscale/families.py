@@ -140,19 +140,15 @@ class MapFamily:
         """
         eps = self.check_param(eps)
         self.check_domain(y)
-        if side not in (0, 1):
+        if np.ndim(side) != 0 or side not in (0, 1):  # one side, not an array
             raise ValueError(f"side must be 0 or 1, got {side}")
-        x = self._inverse(eps, side, y)
+        x = self._inverse(eps, side, y, np.empty(np.shape(y)))
         return float(x) if x.ndim == 0 else x
 
-    def _inverse(self, eps: float, side: int, y, out=None):
-        """The unchecked preimage of y on side ``side``, for a checked eps.
-
-        With ``out``, an array that ``y`` broadcasts to, the result is
-        written there and ``out`` is returned, bit for bit the values that
-        ``out=None`` returns in a new array (partition refinement writes
-        each branch straight into a slice of its level).
-        """
+    def _inverse(self, eps: float, side: int, y, out):
+        """The unchecked preimage of y on side ``side``, for a checked eps,
+        written to and returned as ``out``: an array that ``y`` broadcasts to
+        and does not overlap, such as a chain's row or a slice of a level."""
         raise NotImplementedError
 
     @property
@@ -185,14 +181,7 @@ class _PowerLaw(MapFamily):
         g = self.gamma
         return -g * (2.0 + eps) * np.abs(x) ** (g - 1.0) * np.sign(x)
 
-    def _inverse(self, eps, side, y, out=None):
-        if out is None:
-            t = np.maximum((1.0 + eps - np.asarray(y, dtype=float)) / (2.0 + eps),
-                           0.0)
-            # an ndarray power takes np.sqrt at gamma = 2 and rounds a scalar
-            # as it rounds an array element; a numpy float scalar's power does not
-            t = np.asarray(t) ** (1.0 / self.gamma)
-            return -t if side == 0 else t
+    def _inverse(self, eps, side, y, out):
         t = np.subtract(1.0 + eps, y, out=out)
         np.divide(t, 2.0 + eps, out=t)
         np.maximum(t, 0.0, out=t)
@@ -285,7 +274,7 @@ class _EvenQuartic(MapFamily):
         _, k, m = self._side_coeffs(eps, x)
         return -2.0 * k * x - 4.0 * m * x ** 3
 
-    def _inverse(self, eps, side, y, out=None):
+    def _inverse(self, eps, side, y, out):
         """The root ``u = 2c / (k + sqrt(k^2 + 4mc))`` of ``m u^2 + k u = c``.
 
         Here ``c = crit - y``; the root has no cancellation for either
@@ -296,16 +285,16 @@ class _EvenQuartic(MapFamily):
         exactly, so nested cylinders telescope bit-for-bit.
         """
         crit, k, m = self._coeffs(eps, side)
-        y = np.asarray(y, dtype=float)
-        c = np.maximum(crit - y, 0.0)
-        t = np.sqrt(2.0 * c / (k + np.sqrt(k * k + 4.0 * m * c)))
-        x = -t if side == 0 else t
-        dlo, dhi = self.domain
-        x = np.where(y == dlo, dlo if side == 0 else dhi, x)
-        if out is None:
-            return x
-        out[...] = x
-        return out
+        c = np.maximum(np.subtract(crit, y, out=out), 0.0, out=out)
+        # each step rounds as in 2 c / (k + sqrt(k k + 4 m c)), whose
+        # denominator is the one temporary
+        d = np.multiply(4.0 * m, c, out=np.empty_like(c))
+        d += k * k
+        np.add(np.sqrt(d, out=d), k, out=d)
+        np.sqrt(np.divide(np.multiply(c, 2.0, out=c), d, out=c), out=c)
+        dlo, dhi = self.domain  # symmetric: side 0 negates dhi into dlo
+        np.copyto(c, dhi, where=np.equal(y, dlo))
+        return np.negative(c, out=c) if side == 0 else c
 
 
 class Figure6(_EvenQuartic):

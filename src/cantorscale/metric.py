@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .families import MapFamily, _check_side
+from .families import MapFamily
 from .scaling import scale_at
 from .symbolic import DualPoint
 
@@ -264,7 +264,8 @@ def tilde_deriv(family: MapFamily, eps: float, y,
                 side: int | None = None) -> float:
     """f~'(y) by the chain rule, with one-sided limits at y in {-1, 0, 1}."""
     m = _metric_for(family, eps)
-    _check_side(side)
+    if side is not None and (np.ndim(side) != 0 or side not in (0, 1)):
+        raise ValueError(f"side must be 0 or 1, got {side}")
     g = family.gamma
     p = (g - 1.0) / g
     y = float(y)

@@ -266,5 +266,6 @@ def asymmetry(family: MapFamily, depth: int) -> tuple[float, bool]:
     n1 = apply_branches(family, eps, (1,), mid)[-1]                   # I_{11 0_n}
     ratios = (np.abs(n0[:, 1] - n0[:, 0]) / np.abs(n1[:, 1] - n1[:, 0])).tolist()
     tail = ratios[-5:]
-    converged = max(tail) - min(tail) < 1e-6 + 1e-4 * abs(tail[-1])
+    converged = (len(tail) >= 2  # one ratio has nothing to agree with
+                 and max(tail) - min(tail) < 1e-6 + 1e-4 * abs(tail[-1]))
     return ratios[-1], converged

@@ -121,8 +121,9 @@ def parse_dual_point(text: str) -> DualPoint:
     if "|" not in text:
         raise ValueError(f"bad dual point {text!r}: missing '|'")
     tail_txt, suffix_txt = text.split("|", 1)
-    suffix_txt = suffix_txt.rstrip(".")
-    coords = tuple(int(ch) for ch in reversed(suffix_txt)) if suffix_txt else ()
+    if suffix_txt[-1:] != "." or "." in suffix_txt[:-1]:
+        raise ValueError(f"bad dual point {text!r}: expected one closing '.'")
+    coords = tuple(int(ch) for ch in reversed(suffix_txt[:-1]))
     if tail_txt == "0^inf":
         tail = ZEROS
     elif tail_txt == "?":

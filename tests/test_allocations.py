@@ -7,6 +7,7 @@ kernel that starts allocating temporaries again fails here.
 """
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +29,11 @@ def test_partition_levels_allocates_only_its_levels():
     peak, levels = _peak_bytes(lambda: cs.partition_levels(cs.Quadratic(), 0.3, 14))
     level_bytes = sum(level.los.nbytes + level.his.nbytes for level in levels)
     assert peak <= 1.05 * level_bytes
+    # the quartic root needs one temporary of a half level for its denominator
+    for family, eps in [(cs.Figure6(-0.03), 0.0), (cs.AsymQuadratic(0.3), 0.1)]:
+        peak, levels = _peak_bytes(partial(cs.partition_levels, family, eps, 14))
+        level_bytes = sum(level.los.nbytes + level.his.nbytes for level in levels)
+        assert peak <= 1.2 * level_bytes, family
 
 
 def test_pressure_root_works_in_one_buffer_over_half_a_mirrored_level():

@@ -405,9 +405,7 @@ class _SkewedQuadratic(cs.Quadratic):
 
 
 def _into(out, x):
-    """What an ``_inverse`` returns: ``x`` itself, or ``x`` written to ``out``."""
-    if out is None:
-        return x
+    """What an ``_inverse`` returns: ``x`` written to ``out``."""
     out[...] = x
     return out
 
@@ -415,8 +413,8 @@ def _into(out, x):
 class _OverlappingQuadratic(cs.Quadratic):
     """Branch images [-1, 0.01] and [-0.01, 1]: children overlap, hull intact."""
 
-    def _inverse(self, eps, side, y, out=None):
-        x = super()._inverse(eps, side, y)
+    def _inverse(self, eps, side, y, out):
+        x = super()._inverse(eps, side, y, np.empty_like(out))
         return _into(out, x + 0.01 * (1.0 + x) if side == 0
                      else x - 0.01 * (1.0 - x))
 
@@ -424,8 +422,8 @@ class _OverlappingQuadratic(cs.Quadratic):
 class _ShrunkQuadratic(cs.Quadratic):
     """Branch images inside (-1, 1): the children no longer reach the ends."""
 
-    def _inverse(self, eps, side, y, out=None):
-        return _into(out, 0.99 * super()._inverse(eps, side, y))
+    def _inverse(self, eps, side, y, out):
+        return _into(out, 0.99 * super()._inverse(eps, side, y, np.empty_like(out)))
 
 
 @pytest.mark.parametrize("broken,eps,suite", [

@@ -459,7 +459,8 @@ def test_distortion_check_needs_a_sample_and_a_branch(tmp_path, capsys, key,
 
 
 @pytest.mark.parametrize("key,value", [
-    ("dual_point", 7), ("dual_point", "garbage"), ("samples", -5)])
+    ("dual_point", 7), ("dual_point", "garbage"), ("samples", -5),
+    ("dual_point", "0^inf|1"), ("dual_point", "0^inf|1..")])
 def test_every_key_is_checked_whatever_the_command(tmp_path, capsys, key,
                                                    value):
     # partition reads neither key, yet a bad value of either is refused

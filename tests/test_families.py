@@ -1,6 +1,7 @@
 """Map-family presets: evaluation, derivatives, residuals, diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,11 @@ def test_inverse_branch_rejects_bad_side():
         cs.Quadratic().inverse_branch(0.0, 2, 0.5)
     with pytest.raises(ValueError):
         cs.Figure6(0.0).inverse_branch(0.0, 2, 0.5)
+    # a branch inverts on one side; ``deriv`` and the per-point chains take arrays
+    for side in ([0, 1], np.array([1]), np.array([0, 1]), None):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"side must be 0 or 1, got {side}")):
+            cs.Quadratic().inverse_branch(0.1, side, np.array([0.3, 0.5]))
 
 
 def test_scalar_domain_check_matches_array_check():
@@ -377,11 +383,30 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
+def _operator_inverse(family, eps, side, y):
+    """Reference: each shape's inverse branch as one operator expression."""
+    y = np.asarray(y, dtype=float)
+    if hasattr(family, "_coeffs"):  # the even quartics
+        crit, k, m = family._coeffs(eps, side)
+        c = np.maximum(crit - y, 0.0)
+        t = np.sqrt(2.0 * c / (k + np.sqrt(k * k + 4.0 * m * c)))
+        dlo, dhi = family.domain
+        return np.where(y == dlo, dlo if side == 0 else dhi, -t if side == 0 else t)
+    t = np.maximum((1.0 + eps - y) / (2.0 + eps), 0.0)
+    # an ndarray power takes np.sqrt at gamma = 2, as the kernel's ``**=`` does
+    t = np.asarray(t) ** (1.0 / family.gamma)
+    return -t if side == 0 else t
+
+
 @pytest.mark.parametrize("family", [
     cs.Quadratic(), cs.Tent(), cs.GammaPower(1.5), cs.GammaPower(3.0),
-    cs.Figure6(-0.03), cs.Figure6(0.05),
+    cs.Figure6(-0.03), cs.Figure6(0.05), cs.Figure6(-0.033),
     cs.AsymQuadratic(0.3), cs.AsymQuadratic(-0.45)], ids=lambda f: repr(f))
 def test_inverse_into_out_is_the_inverse_bit_for_bit(family):
+    # the kernel stages its root through ``out``; the reference writes each
+    # shape's inverse as one operator expression in new arrays.  At c = -0.033
+    # the root at y = -1 rounds to 0.9999999999999999, so the kernel must set
+    # the domain end itself
     dlo, dhi = family.domain
     ys = np.concatenate([
         np.random.default_rng(21).uniform(dlo, dhi, 1000),
@@ -390,16 +415,16 @@ def test_inverse_into_out_is_the_inverse_bit_for_bit(family):
     lo, hi = family.param_range
     for eps in sorted({lo, (lo + hi) / 2.0, hi}):
         for side in (0, 1):
-            want = family._inverse(eps, side, ys)
+            want = _operator_inverse(family, eps, side, ys)
             buf = np.full(ys.size + 7, np.nan)
             out = buf[3:3 + ys.size]
-            assert family._inverse(eps, side, ys, out=out) is out
+            assert family._inverse(eps, side, ys, out) is out
             assert np.array_equal(_bits(out), _bits(want))
             assert np.isnan(buf[:3]).all() and np.isnan(buf[-4:]).all()
             for y in (dhi / 3.0, np.asarray(-0.0), np.asarray(dlo)):
                 out = np.empty(())
-                assert family._inverse(eps, side, y, out=out) is out
-                assert _bits(out) == _bits(family._inverse(eps, side, y))
+                assert family._inverse(eps, side, y, out) is out
+                assert _bits(out) == _bits(_operator_inverse(family, eps, side, y))
 
 
 def test_make_family_takes_the_params_of_its_kind():

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -165,11 +166,12 @@ def test_tilde_deriv_examples():
         cs.tilde_deriv(q, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("side", [2, -1, 0.5])
+@pytest.mark.parametrize("side", [2, -1, 0.5, [0, 1], np.array([1])])
 @pytest.mark.parametrize("y", [0.0, 0.3])
 def test_tilde_deriv_refuses_a_side_other_than_0_or_1(y, side):
-    # only y = 0 reads the side, but a side is checked wherever it is given
-    with pytest.raises(ValueError, match=f"side must be 0 or 1, got {side}"):
+    # only y = 0 reads the side, but a side is checked wherever it is given;
+    # f~'(y) takes one side, not an array of them
+    with pytest.raises(ValueError, match=re.escape(f"side must be 0 or 1, got {side}")):
         cs.tilde_deriv(cs.Quadratic(), 0.1, y, side=side)
 
 

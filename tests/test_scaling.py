@@ -191,6 +191,11 @@ def test_asymmetry():
     assert conv
     assert v == pytest.approx(0.5773504850887842, abs=1e-9)
     assert abs(v - 1.0) > 0.1
+    # depth 0, or a negative depth, reads one ratio |I_01| / |I_11|, which
+    # has nothing to agree with
+    for depth in (0, -3):
+        assert cs.asymmetry(cs.AsymQuadratic(0.3), depth) == (
+            0.8625721134438878, False)
 
 
 def _count_inverse_calls(family):

@@ -39,6 +39,9 @@ def test_parse_and_render_round_trip():
         assert str(cs.parse_dual_point(text)) == text
     with pytest.raises(ValueError):
         cs.parse_dual_point("10110")
+    for text in ("0^inf|1", "0^inf|1..", "0^inf|", "0^inf|1.0."):
+        with pytest.raises(ValueError, match="expected one closing '.'"):
+            cs.parse_dual_point(text)
 
 
 def test_equal_dual_points_hash_equal():
