@@ -69,7 +69,10 @@ def apply_branches(family: MapFamily, eps: float, sides,
     (``sides`` of shape ``(steps, n)`` for points of shape ``(n, ...)``,
     broadcast over the trailing axes).  Only the first step is the checked
     ``inverse_branch``: a branch maps the domain into itself, so later steps
-    run the unchecked ``_inverse`` straight into their rows.
+    run the unchecked ``_inverse`` straight into their rows.  A per-point
+    step of a mirrored family runs one branch and multiplies its row by the
+    step's signs, since ``g_0 = -g_1`` bit for bit and ``x * -1.0`` is
+    ``-x`` exactly.
     """
     if per_point := np.ndim(sides) == 2:
         sides = np.asarray(sides)
@@ -80,7 +83,10 @@ def apply_branches(family: MapFamily, eps: float, sides,
         raise ValueError(f"side must be 0 or 1, got {bad[0]}")
     rows = np.empty((len(sides) + 1,) + np.shape(points))
     rows[0] = points
-    scratch = np.empty(np.shape(points)) if per_point else None
+    if per_point and family._mirrored:
+        signs = np.where(sides, 1.0, -1.0)
+    elif per_point:
+        scratch = np.empty(np.shape(points))
     for k, side in enumerate(sides):
         y, row = rows[k], rows[k + 1, ...]  # a 0-d view for scalar points
         if k == 0:
@@ -88,11 +94,13 @@ def apply_branches(family: MapFamily, eps: float, sides,
             row[...] = (np.where(side, inverse(eps, 1, y), inverse(eps, 0, y))
                         if per_point else inverse(eps, side, y))
             eps = float(eps)  # as check_param returns it
-        elif per_point:  # side 1 goes through scratch where the side is 1
+        elif not per_point:
+            family._inverse(eps, side, y, row)
+        elif family._mirrored:
+            np.multiply(family._inverse(eps, 1, y, row), signs[k], out=row)
+        else:  # side 1 goes through scratch where the side is 1
             family._inverse(eps, 0, y, row)
             np.copyto(row, family._inverse(eps, 1, y, scratch), where=side)
-        else:
-            family._inverse(eps, side, y, row)
     return rows
 
 
@@ -220,8 +228,12 @@ def decay_rate(family: MapFamily, eps: float, n_max: int):
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
-    levels = partition_levels(family, eps, n_max)
-    ns = np.arange(2, n_max + 1)
+    return _decay_fit(partition_levels(family, eps, n_max))
+
+
+def _decay_fit(levels: list[Partition]):
+    """``decay_rate``'s fit over n = 2..n_max of the levels 0..n_max."""
+    ns = np.arange(2, len(levels))
     lam = np.asarray([levels[n].lambda_n for n in ns])
     slope, intercept = np.polyfit(ns, np.log(lam), 1)
     fit = intercept + slope * ns

@@ -272,7 +272,7 @@ class _EvenQuartic(MapFamily):
     def _deriv_raw(self, eps, x):
         x = np.asarray(x, dtype=float)
         _, k, m = self._side_coeffs(eps, x)
-        return -2.0 * k * x - 4.0 * m * x ** 3
+        return -2.0 * k * x - 4.0 * m * (x * x * x)
 
     def _inverse(self, eps, side, y, out):
         """The root ``u = 2c / (k + sqrt(k^2 + 4mc))`` of ``m u^2 + k u = c``.

@@ -6,8 +6,9 @@ geometry of the invariant set.  For a family escaping at rate eps the
 leading-gap ratio scales like ``eps^(1/gamma)`` with a uniform
 determining constant, which ``asymptotic_gap_fit`` verifies by log-log
 regression.  ``estimate_constants`` and ``distortion_suite`` implement
-the Denjoy-Koebe distortion inequality with empirically estimated
-constants.
+the Denjoy-Koebe distortion inequality.  Its bounds on ``f'`` and ``h'``
+(``c1, K1, c3, K3``) are closed forms; those on the conjugate map's
+derivative (``c2, K2``) are sampled on a grid.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import (Word, apply_branches, cylinder, decay_rate,
+from .branches import (Partition, Word, _decay_fit, apply_branches, cylinder,
                        partition_levels)
 from .errors import ConvergenceError, DomainError
-from .families import MapFamily
+from .families import MapFamily, _EvenQuartic
 from .metric import _metric_for, _tilde_deriv_at
 
 #: pairs closer to the boundary than this are excluded from distortion
@@ -29,9 +30,13 @@ from .metric import _metric_for, _tilde_deriv_at
 #: domain [-1, 1] that every family shares
 MIN_BOUNDARY_DISTANCE = 1e-3
 
-#: grid points per cell on which ``estimate_constants`` samples f', h'
-#: and the conjugate map's derivative
+#: grid points per middle interval on which ``estimate_constants`` samples
+#: the conjugate map's derivative for c2 and K2
 CONSTANT_SAMPLES = 80
+
+#: depth of the partition levels that the constants read: levels 0-2 for
+#: the cells and the rest for the decay fit
+_DECAY_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -177,22 +182,57 @@ def default_alpha(family: MapFamily) -> float:
     return 1.0 if family.piecewise_linear else min(family.gamma - 1.0, 1.0)
 
 
+def _f_prime_holder(family: MapFamily, eps: float, ends: np.ndarray,
+                    alpha: float) -> float:
+    """The alpha-Hölder constant of |f'| on the depth-1 cells, whose ends
+    are the rows of ``ends`` (row k is I_k, on side k).
+
+    Tent: 0.  Power laws: |f'| = gamma (2+eps) u^(gamma-1) in u = |x|, on
+    [t, 1] with t the cell's inner end; for gamma >= 2 its Lipschitz
+    constant is |f''| at u = 1, and for gamma < 2 the quotient of u^alpha
+    is largest between the two ends.  Quartics: |f'| = 2k u + 4m u^3, whose
+    slope 2k + 12m u^2 is monotone in u, so largest in modulus at an end.
+    """
+    if family.piecewise_linear:
+        return 0.0
+    if isinstance(family, _EvenQuartic):
+        km = np.array([family._coeffs(eps, side)[1:] for side in (0, 1)])
+        return float(np.max(np.abs(2.0 * km[:, :1]
+                                   + 12.0 * km[:, 1:] * ends * ends)))
+    g = family.gamma
+    if g >= 2.0:
+        return g * (g - 1.0) * (2.0 + eps)
+    t = np.min(np.abs(ends), axis=1)
+    return float(g * (2.0 + eps) * np.max((1.0 - t ** alpha)
+                                          / (1.0 - t) ** alpha))
+
+
 def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
-    """Empirical constants of the bounds that ``distortion_suite`` checks.
+    """The constants of the bounds that ``distortion_suite`` checks.
 
     ``c1, K1`` bound ``f'`` on the depth-1 cylinders I_0 and I_1 (every
-    backward image lives there), ``c2, K2`` bound the conjugate map's derivative on the
-    h-images of the middle intervals, ``c3, K3`` bound ``h'`` there, and
-    ``C1`` is the smaller of ``|I_00|`` and ``|I_10|``.  ``C2_sum`` and
-    ``C3_sum`` bound the backward-image sums, derived from the partition
-    decay fit with a factor-2 safety margin.  The aggregate constants are
+    backward image lives there), ``c2, K2`` bound the conjugate map's
+    derivative on the h-images of the middle intervals, ``c3, K3`` bound
+    ``h'`` there, and ``C1`` is the smaller of ``|I_00|`` and ``|I_10|``.
+    ``c1, K1, c3, K3`` are closed forms; ``c2, K2`` are the minimum and the
+    largest pairwise Hölder quotient on a ``CONSTANT_SAMPLES`` grid.
+    ``C2_sum`` and ``C3_sum`` bound the backward-image sums, derived from
+    the partition decay fit with a factor-2 safety margin.  The aggregate
+    constants are
 
         A = K1/c1 + K3^alpha K2/c2 + K3/c3 + (gamma-1)/gamma
         B = (gamma-1)/(gamma C1),  C = (gamma-1)/gamma
         D = (A + B C2) C3,         E = C C3.
     """
+    return _constants(family, eps)[0]
+
+
+def _constants(family: MapFamily,
+               eps: float) -> tuple[GoodFamilyConstants, list[Partition]]:
+    """``estimate_constants`` and the levels 0.._DECAY_DEPTH it reads."""
     eps = family.check_param(eps)
-    eta0, eta1, eta2 = partition_levels(family, eps, 2)
+    levels = partition_levels(family, eps, _DECAY_DEPTH)
+    eta0, eta1, eta2 = levels[:3]
     alpha = default_alpha(family)
     g = family.gamma
 
@@ -201,17 +241,18 @@ def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
     if not (a_pt < 0.0 < d_pt):
         raise DomainError("level-2 partition collapsed; bad family")
 
-    # row k samples I_k; each row is the 1-D linspace of its cell.  At
-    # eps = 0 the cells close on the critical point, where row k takes the
-    # one-sided derivative of side k (only the tent's depends on the side)
-    xs = np.linspace(eta0.los, eta0.his, CONSTANT_SAMPLES, axis=1)
-    fprime = np.abs(family.deriv(eps, xs, side=[[0], [1]]))
-    c1 = float(np.min(fprime))
+    # row k holds the ends of I_k, on side k.  |f'| is monotone or concave
+    # in |x| on each cell (for the quartics, |x| times a factor 2k + 4m x^2
+    # that stays positive), so it is least at an end.  At eps = 0 the cells
+    # close on the critical point, where row k takes the one-sided
+    # derivative of side k (only the tent's depends on the side)
+    ends = np.stack([eta0.los, eta0.his], axis=1)
+    c1 = float(np.min(np.abs(family.deriv(eps, ends, side=[[0], [1]]))))
     if c1 <= 0.0:
         raise DomainError(
             "derivative bound degenerates on the depth-1 cylinders "
             "(critical point on their closure; requires eps > 0)")
-    K1 = max(map(_holder_constant, xs, fprime, (alpha, alpha)))
+    K1 = _f_prime_holder(family, eps, ends, alpha)
 
     degenerate = family.piecewise_linear
     if degenerate:
@@ -220,12 +261,14 @@ def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
         K2 = K3 = 0.0
     else:
         m = _metric_for(family, eps)
+        # h' = b ((1+eps)^2 - x^2)^(-p) is least at 0 and its slope h'' =
+        # 2 p b x ((1+eps)^2 - x^2)^(-p-1) largest at the far end X
+        p, far = (g - 1.0) / g, max(-a_pt, d_pt)
+        c3 = m.b * (1.0 + eps) ** (-2.0 * p)
+        K3 = 2.0 * p * m.b * far * ((1.0 + eps) ** 2 - far * far) ** (-p - 1.0)
         # rows: the open middle intervals (a, 0) and (0, d)
         xs = np.linspace((a_pt, 0.0), (0.0, d_pt), CONSTANT_SAMPLES + 2,
                          axis=1)[:, 1:-1]
-        hp = m.h_prime(xs)
-        c3 = float(np.min(hp))
-        K3 = max(map(_holder_constant, xs, hp, (1.0, 1.0)))
         # f~'(h(x)) straight from x: no round trip through h^{-1}.  It
         # divides by (1+eps)^2 - f(x)^2, which is 0 where f(x) rounds to
         # the critical value, as |x|^40 does next to 0
@@ -244,7 +287,7 @@ def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
     B = (g - 1.0) / (g * C1)
     C = (g - 1.0) / g
 
-    C0_fit, lam_fit, _, _ = decay_rate(family, eps, n_max=10)
+    C0_fit, lam_fit, _, _ = _decay_fit(levels)
     lam = min(lam_fit, 0.95)
     C0 = 2.0 * max(C0_fit, 1.0)          # factor-2 safety margin
     C2_sum = 2.0 * C0 / (1.0 - lam)
@@ -253,7 +296,8 @@ def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
     return GoodFamilyConstants(
         c1=c1, K1=K1, c2=c2, K2=K2, c3=c3, K3=K3, C1=C1, alpha=alpha,
         A=A, B=B, C=C, C2_sum=C2_sum, C3_sum=C3_sum,
-        D=(A + B * C2_sum) * C3_sum, E=C * C3_sum, degenerate=degenerate)
+        D=(A + B * C2_sum) * C3_sum, E=C * C3_sum,
+        degenerate=degenerate), levels
 
 
 def _distortion(family: MapFamily, eps: float, sides, steps, x, y,
@@ -262,7 +306,8 @@ def _distortion(family: MapFamily, eps: float, sides, steps, x, y,
     takes the first ``steps[i]`` branches of column ``i`` of ``sides`` from
     ``(x[i], y[i])``; ``lhs = |g_w'(x)| / |g_w'(y)|`` by the chain rule,
     ``rhs_orbit`` sums the backward images and ``rhs_uniform`` absorbs the
-    sums into the D, E constants."""
+    sums into the D, E constants.  A sample passes when ``lhs`` is within
+    both bounds and at least one of them is finite."""
     dlo, dhi = family.domain
     d_xy = np.minimum(np.minimum(x, y) - dlo, dhi - np.maximum(x, y))
     j0 = np.abs(np.subtract(y, x))
@@ -282,7 +327,8 @@ def _distortion(family: MapFamily, eps: float, sides, steps, x, y,
     lhs = np.exp(np.sum(log_ratio, axis=0))
     slack = 1.0 + 1e-9
     return (lhs, rhs_orbit, rhs_unif,
-            (lhs <= rhs_orbit * slack) & (lhs <= rhs_unif * slack))
+            (lhs <= rhs_orbit * slack) & (lhs <= rhs_unif * slack)
+            & (np.isfinite(rhs_orbit) | np.isfinite(rhs_unif)))
 
 
 def distortion_suite(family: MapFamily, eps: float, n_samples: int,
@@ -300,8 +346,8 @@ def distortion_suite(family: MapFamily, eps: float, n_samples: int,
     if n_samples < 1 or max_word_len < 1:
         raise ValueError("n_samples and max_word_len must be >= 1")
     rng = np.random.default_rng(seed)
-    constants = estimate_constants(family, eps)
-    eta1 = partition_levels(family, eps, 1)[1]
+    constants, levels = _constants(family, eps)
+    eta1 = levels[1]
     lo_ok = np.maximum(eta1.los, family.domain[0] + MIN_BOUNDARY_DISTANCE)
     hi_ok = np.minimum(eta1.his, family.domain[1] - MIN_BOUNDARY_DISTANCE)
     cell = rng.integers(0, len(lo_ok), n_samples)

@@ -249,6 +249,34 @@ def _checked_chain(family, eps, sides, points):
     return np.stack(rows)
 
 
+def _two_sided_chain(family, eps, sides, points):
+    """Reference: a per-point chain that computes both branches at every step
+    and takes each point's side from them."""
+    rows = [np.asarray(points, dtype=float)]
+    for side in np.asarray(sides, dtype=bool):
+        g0, g1 = (family.inverse_branch(eps, s, rows[-1]) for s in (0, 1))
+        rows.append(np.where(side[:, None], g1, g0))
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("family", [
+    cs.Quadratic(), cs.GammaPower(1.5), cs.Tent(), cs.Figure6(-0.03),
+    cs.AsymQuadratic(0.0)],
+    ids=["quadratic", "gamma1.5", "tent", "figure6", "asym0"])
+def test_a_mirrored_per_point_chain_is_the_two_sided_one_bit_for_bit(family):
+    assert family._mirrored
+    rng = np.random.default_rng(17)
+    # the domain ends and the critical point, whose images carry signed zeros
+    # at eps = 0, then random points
+    starts = np.concatenate([[[-1.0, 1.0], [0.0, -0.0], [1.0, 0.0]],
+                             rng.uniform(-1.0, 1.0, (37, 2))])
+    for eps in sorted({0.0, *family.param_range, 0.2 * family.param_range[1]}):
+        sides = rng.integers(0, 2, (25, len(starts)))
+        got = cs.apply_branches(family, eps, sides, starts)
+        want = _two_sided_chain(family, eps, sides, starts)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _checked_levels(family, eps, n):
     """Reference: ``partition_levels`` with a checked ``inverse_branch``."""
     los, his = np.asarray([family.domain[0]]), np.asarray([family.domain[1]])

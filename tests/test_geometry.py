@@ -1,5 +1,6 @@
 """Gap geometry, asymptotic gap laws and distortion bounds."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -80,8 +81,9 @@ def test_estimate_constants_quadratic_fixture():
     k = cs.estimate_constants(cs.Quadratic(), 0.5)
     assert not k.degenerate
     assert k.c1 == pytest.approx(math.sqrt(5.0), rel=1e-9)
+    assert k.K1 == 5.0   # gamma (gamma - 1) (2 + eps)
     assert k.C1 == pytest.approx(0.11745513530473528, rel=1e-9)
-    assert k.A == pytest.approx(3.0601604707770855, rel=1e-9)
+    assert k.A == pytest.approx(3.0685184317291423, rel=1e-9)
     assert k.c1 > 0 and k.c2 > 0 and k.c3 > 0
     assert k.K1 > 0 and k.K2 > 0 and k.K3 > 0
     assert k.D > 0 and k.E > 0
@@ -214,7 +216,8 @@ def _distortion_check_loop(family, eps, word, x, y, constants):
     rhs_unif = safe_exp((constants.D + constants.E / d_xy) * j0 ** a)
     slack = 1.0 + 1e-9
     return (lhs, rhs_orbit, rhs_unif,
-            lhs <= rhs_orbit * slack and lhs <= rhs_unif * slack)
+            lhs <= rhs_orbit * slack and lhs <= rhs_unif * slack
+            and min(rhs_orbit, rhs_unif) < math.inf)
 
 
 def _distortion_suite_loop(family, eps, n_samples, max_word_len=15, seed=0):
@@ -276,31 +279,31 @@ def test_distortion_suite_matches_the_per_sample_loop(family, eps, n, max_len,
 
 
 # (n_passed, n_total, worst, sha256 of the bytes of the lhs, rhs_orbit and
-# rhs_uniform arrays, one after the other) of each SUITE_CASES suite, as
-# the chains gave them while they checked every step, recorded with numpy
-# 2.4.6 on x86-64 with AVX-512 (another build's SIMD log, exp or power may
-# round differently).  Running the later steps unchecked moves no bit.
+# rhs_uniform arrays, one after the other) of each SUITE_CASES suite,
+# recorded with numpy 2.4.6 on x86-64 with AVX-512 (another build's SIMD
+# log, exp or power may round differently) from the closed-form c1, K1, c3
+# and K3 and the quartic cube x * x * x.
 SUITE_PINS = [
-    (200, 200, "1.000830097995106",
-     "ca4b511a7a5dbcfb27b37710a60ef78f8dbe62463c837f4b058df7e6e25286c2"),
-    (200, 200, "1.0002604334925533",
-     "18c19365c8cef830d1661357765c760e43e3306aff51af0a407433981d60384d"),
-    (200, 200, "1.0001470841169404",
-     "4931dda497efe85a859fea32abdb29286ef0a83f58343373baca912b01019d42"),
-    (100, 100, "1.0062679401895966",
-     "50b777b7efbf97ad8a5e41fa64a3731a78724fc266c31a6b47b5b30e72da6360"),
-    (100, 100, "1.1739650635678256",
-     "28b61ae4007f335d7c6215de062c7d30bcd3f06c27fba36f884eb461a56f1801"),
-    (15, 15, "1.040142639616556",
-     "8a235f0475a9abd10e4477076bc8cae6686167a0ddf08c0c1abaffb054157d85"),
+    (200, 200, "1.0008312521985427",
+     "98de939b98b1cbe8640a1d4ca549d94c8a4542e601ff7dcf040f1fa036241155"),
+    (200, 200, "1.0002613502085678",
+     "99d19f77382ec9b7828c8f5e2038c3c987c182049e9eb96f3f0befe4b309fdad"),
+    (200, 200, "1.0001477035722335",
+     "34d1b47849e2e7a7f2e6d1be8ea161524ea9207f3fa7c9248da3e7b7426b0fed"),
+    (100, 100, "1.0063108005850951",
+     "e3d7fe08e4f7d52276a554809da4b73bc06cc1c22249d2d89b531814c299a3b6"),
+    (100, 100, "1.1744093287049902",
+     "995096b7eeefeab49826e58a849ae578542c1e2b2bda12ca889cc61fb3102ec7"),
+    (15, 15, "1.0404199630528597",
+     "91bd2c70dc4b8eb9e238dca6cbf4c226e51fdf3ce6080fdf1902751c990ea9cb"),
     (100, 100, "1.0",
      "5b638086c129ee3235cf80c1b00a0c70a46283867104a3518aba9b5d019d7ec7"),
-    (3334, 3334, "1.0002210102995743",
-     "db68d3e74ac158da1ef56a7ca48b3c391bafb393c56f552b1530cb462ce83e9f"),
-    (3334, 3334, "1.0000678184660088",
-     "19e76c94f62248eced1718a0d079805b750238061728cd42d97405843eeef15b"),
-    (3334, 3334, "1.0000207640901353",
-     "295d15b4137198033a3aedd43e47495f97da15dca2522271ffe8a216e17361bb"),
+    (3334, 3334, "1.0002212746135932",
+     "f7a48d1e6fd36b24943025f3e6788743184a700c8d3170fc99a82f615cd115fc"),
+    (3334, 3334, "1.0000679365704996",
+     "a9211368933ea06948344c51ab3c9a5185142d7635005e6d7b94d82e5dc7ff70"),
+    (3334, 3334, "1.0000208052621422",
+     "2b91affbffc01463ae7ea28d4b9b98a77e52d5a0adb810e91ab40650cc753f4d"),
 ]
 
 
@@ -454,33 +457,44 @@ def test_estimate_constants_skips_the_metric_round_trip(family, eps, monkeypatch
 
 
 def _estimate_constants_per_side(family, eps):
-    """Reference: ``estimate_constants`` one side at a time, ``f'`` twice."""
+    """Reference: ``estimate_constants`` one side at a time, with ``c1, K1,
+    c3, K3`` in closed form per preset and ``c2, K2`` sampled."""
     eta0, eta1, eta2 = cs.partition_levels(family, eps, 2)
     alpha = (family.gamma - 1.0 if isinstance(family, cs.GammaPower)
              and family.gamma < 2.0 else 1.0)
     g = family.gamma
     a_pt, d_pt = float(eta2.los[2]), float(eta2.his[6])
 
-    def fprime(xs):
-        return np.abs(np.asarray(family.deriv(eps, xs)))
-
-    xs_left = np.linspace(float(eta0.los[0]), float(eta0.his[0]), CONSTANT_SAMPLES)
-    xs_right = np.linspace(float(eta0.los[1]), float(eta0.his[1]), CONSTANT_SAMPLES)
-    c1 = float(min(np.min(fprime(xs_left)), np.min(fprime(xs_right))))
-    K1 = max(_holder_constant(xs_left, fprime(xs_left), alpha),
-             _holder_constant(xs_right, fprime(xs_right), alpha))
+    c1, K1 = math.inf, 0.0
+    for side, cell in ((0, (eta0.los[0], eta0.his[0])),
+                       (1, (eta0.los[1], eta0.his[1]))):
+        ends = np.asarray(cell, dtype=float)
+        c1 = min(c1, float(np.min(np.abs(family.deriv(eps, ends)))))
+        t = float(np.min(np.abs(ends)))   # the inner end; the outer one is 1
+        if family.piecewise_linear:
+            side_K1 = 0.0
+        elif isinstance(family, cs.AsymQuadratic):
+            beta = family.beta if side == 0 else -family.beta
+            k = (2.0 + eps) * (1.0 + beta)
+            m = 2.0 + eps - k
+            side_K1 = max(abs(2.0 * k + 12.0 * m * x * x) for x in ends)
+        elif g >= 2.0:
+            side_K1 = g * (g - 1.0) * (2.0 + eps)
+        else:
+            side_K1 = g * (2.0 + eps) * (1.0 - t ** alpha) / (1.0 - t) ** alpha
+        K1 = max(K1, side_K1)
     degenerate = family.piecewise_linear
     if degenerate:
         c2 = c3 = 1.0
         K2 = K3 = 0.0
     else:
         m = cs.MetricChange(g, eps)
-        c2, K2, c3, K3 = math.inf, 0.0, math.inf, 0.0
+        p, far = (g - 1.0) / g, max(-a_pt, d_pt)
+        c3 = m.b * (1.0 + eps) ** (-2.0 * p)
+        K3 = 2.0 * p * m.b * far * ((1.0 + eps) ** 2 - far * far) ** (-p - 1.0)
+        c2, K2 = math.inf, 0.0
         for lo_x, hi_x in ((a_pt, 0.0), (0.0, d_pt)):
             xs = np.linspace(lo_x, hi_x, CONSTANT_SAMPLES + 2)[1:-1]
-            hp = np.asarray(m.h_prime(xs))
-            c3 = min(c3, float(np.min(hp)))
-            K3 = max(K3, _holder_constant(xs, hp, 1.0))
             ys = np.asarray(m.h(xs))
             td = np.abs(_tilde_deriv_at(family, eps, xs))
             c2 = min(c2, float(np.min(td)))
@@ -500,21 +514,99 @@ def _estimate_constants_per_side(family, eps):
         D=(A + B * C2_sum) * C3_sum, E=C * C3_sum, degenerate=degenerate)
 
 
+#: the constants whose closed forms may round apart from the reference's;
+#: the sampled ones, the cells and the decay fit must agree exactly
+_CLOSED_FORM_FIELDS = ("K1", "c3", "K3", "A", "D")
+
+
 @pytest.mark.parametrize("family", [
     cs.Quadratic(), cs.GammaPower(1.5), cs.GammaPower(3.0), cs.Tent(),
     cs.AsymQuadratic(0.3), cs.AsymQuadratic(-0.45)],
     ids=["quadratic", "gamma1.5", "gamma3", "tent", "asym0.3", "asym-0.45"])
 @pytest.mark.parametrize("eps", [0.05, 0.2, 0.5])
 def test_estimate_constants_matches_the_per_side_reference(family, eps):
-    assert cs.estimate_constants(family, eps) == _estimate_constants_per_side(
-        family, eps)
+    got = dataclasses.asdict(cs.estimate_constants(family, eps))
+    want = dataclasses.asdict(_estimate_constants_per_side(family, eps))
+    for name in _CLOSED_FORM_FIELDS:
+        assert got.pop(name) == pytest.approx(want.pop(name), rel=1e-14), name
+    assert got == want
+
+
+#: grid points per cell of the bound test: every 25th is one of its 401
+#: coarse points, the two ends among them
+BOUND_GRID = 10_001
+
+
+def _holder_bound_top(xs, vals, alpha, bound):
+    """Assert that ``bound`` is at least the quotient |v(x) - v(y)| / |x -
+    y|^alpha of every adjacent pair of ``xs`` and, for alpha < 1, where the
+    widest pair may carry the largest quotient, of every pair of the coarse
+    points; return the largest quotient."""
+    pairs = [(np.arange(len(xs) - 1), np.arange(1, len(xs)))]
+    if alpha < 1.0:
+        coarse = np.arange(0, len(xs), 25)
+        i, j = np.triu_indices(len(coarse), 1)
+        pairs.append((coarse[i], coarse[j]))
+    # the computed values carry a few ulps that the closed form does not
+    slack = 8.0 * np.spacing(np.max(vals))
+    top = 0.0
+    for i, j in pairs:
+        diff, dist = np.abs(vals[j] - vals[i]), np.abs(xs[j] - xs[i]) ** alpha
+        assert np.all(diff <= bound * dist + slack)
+        top = max(top, float(np.max(diff / dist)))
+    return top
+
+
+# Figure6 takes eps = 0 only, where its cells close on the critical point
+# and estimate_constants refuses it
+@pytest.mark.parametrize("family", [
+    cs.Quadratic(), cs.GammaPower(1.5), cs.GammaPower(3.0), cs.Tent(),
+    cs.AsymQuadratic(0.3), cs.AsymQuadratic(-0.45)],
+    ids=["quadratic", "gamma1.5", "gamma3", "tent", "asym0.3", "asym-0.45"])
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.5])
+def test_closed_form_constants_bound_a_fine_grid(family, eps):
+    k = cs.estimate_constants(family, eps)
+    eta0, _, eta2 = cs.partition_levels(family, eps, 2)
+    # each bound holds on every cell and comes within 0.1 % of the grid's
+    # largest quotient or least value on one of them
+    tops, lows = [], []
+    for side in (0, 1):
+        xs = np.linspace(eta0.los[side], eta0.his[side], BOUND_GRID)
+        fprime = np.abs(family.deriv(eps, xs))
+        lows.append(np.min(fprime))
+        tops.append(_holder_bound_top(xs, fprime, k.alpha, k.K1))
+    assert k.c1 <= min(lows) <= 1.001 * k.c1
+    assert 0.999 * k.K1 <= max(tops)
+    if family.piecewise_linear:
+        return
+    m = cs.MetricChange(family.gamma, eps)
+    # the open middle intervals (a, 0) and (0, d), whose h' is least at 0
+    tops, lows = [], []
+    for xs in (np.linspace(eta2.los[2], 0.0, BOUND_GRID)[:-1],
+               np.linspace(0.0, eta2.his[6], BOUND_GRID)[1:]):
+        hprime = m.h_prime(xs)
+        lows.append(np.min(hprime))
+        tops.append(_holder_bound_top(xs, hprime, 1.0, k.K3))
+    assert k.c3 <= min(lows) <= 1.001 * k.c3
+    assert 0.999 * k.K3 <= max(tops)
+
+
+def test_a_sample_with_no_finite_bound_does_not_pass():
+    # c1 falls like sqrt(eps), and at eps = 1e-15 both bounds overflow
+    n_pass, n_total, _, arrays = cs.distortion_suite(cs.Quadratic(), 1e-15, 50,
+                                                     seed=0)
+    _, rhs_orbit, rhs_uniform, passed = arrays
+    assert (n_pass, n_total) == (0, 50)
+    assert np.all(np.isinf(rhs_orbit) & np.isinf(rhs_uniform))
+    assert not np.any(passed)
 
 
 @pytest.mark.parametrize("family", [
     cs.Quadratic(), cs.GammaPower(3.0), cs.AsymQuadratic(0.3)],
     ids=["quadratic", "gamma3", "asym"])
 def test_estimate_constants_calls_deriv_twice(family, monkeypatch):
-    # once on the depth-1 cylinders, once inside f~' on the middle intervals
+    # once on the ends of the depth-1 cylinders, once inside f~' on the
+    # middle intervals
     calls = []
     deriv = cs.MapFamily.deriv
 
@@ -524,7 +616,7 @@ def test_estimate_constants_calls_deriv_twice(family, monkeypatch):
 
     monkeypatch.setattr(cs.MapFamily, "deriv", counted)
     cs.estimate_constants(family, 0.2)
-    assert calls == [(2, CONSTANT_SAMPLES), (2, CONSTANT_SAMPLES)]
+    assert calls == [(2, 2), (2, CONSTANT_SAMPLES)]
 
 
 @pytest.mark.parametrize("grid", [[0.1], [0.1, 0.1]])

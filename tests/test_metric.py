@@ -268,6 +268,20 @@ def test_h_and_b_match_mpmath(gamma, eps):
         assert _ulps(y, mp_h(x)) <= 16, x
 
 
+@pytest.mark.parametrize("gamma", [8.0, 20.0, 40.0, 100.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+@pytest.mark.usefixtures("mp40")
+def test_h_matches_mpmath_next_to_the_series_split(gamma, eps):
+    # each series reaches its largest term ratio, 1/2, at the split z = 1/2,
+    # where its truncation error peaks; at large gamma its coefficients fall
+    # slowest.  56 terms keep h within 4 ulps there (44 would not)
+    m, mp_h, reach = cs.MetricChange(gamma, eps), _mp_h(gamma, eps), 1.0 + eps
+    offsets = np.asarray([1e-2, 1e-3, 1e-4, 1e-6, 1e-9, 1e-12])
+    xs = reach * math.sqrt(0.5) * np.concatenate([1 - offsets, 1 + offsets])
+    for x, y in zip(xs, m.h(xs)):
+        assert _ulps(y, mp_h(x)) <= 4, x
+
+
 @pytest.mark.parametrize("gamma", BETA_GAMMAS)
 @pytest.mark.parametrize("eps", BETA_EPS)
 @pytest.mark.usefixtures("mp40")

@@ -38,6 +38,10 @@ MUTATIONS = [
     ("metric-nodes", "metric", "_NODES = 513", "_NODES = 65"),
     ("constant-samples", "geometry",
      "CONSTANT_SAMPLES = 80", "CONSTANT_SAMPLES = 20"),
+    ("k1-gamma-factor", "geometry",
+     "g * (g - 1.0) * (2.0 + eps)", "g * (2.0 + eps)"),
+    ("k3-near-end", "geometry",
+     "max(-a_pt, d_pt)", "min(-a_pt, d_pt)"),
     ("residual-tol", "dimension",
      "_RESIDUAL_TOL = 1e-10", "_RESIDUAL_TOL = 1e-7"),
     ("power-clamp-abs", "families",
@@ -54,6 +58,8 @@ MUTATIONS = [
      "        np.copyto(c, dhi, where=np.equal(y, dlo))\n", ""),
     ("per-point-merge-flipped", "branches",
      "where=side)", "where=~side)"),
+    ("per-point-signs-flipped", "branches",
+     "np.where(sides, 1.0, -1.0)", "np.where(sides, -1.0, 1.0)"),
     ("dual-point-extra-dots", "symbolic",
      ' or "." in suffix_txt[:-1]', ""),
 ]
