@@ -6,10 +6,9 @@ with built-in map presets and closed-form oracles.
 """
 
 from .branches import (Cylinder, Partition, Word, apply_branches, cylinder,
-                       decay_rate, invariant_suite, partition, partition_levels)
+                       invariant_suite, partition, partition_levels)
 from .dimension import (DimensionEstimate, delta0, hd_curve, hd_estimate,
-                        pressure_sum, zero_run_count,
-                        zero_run_count_bruteforce)
+                        zero_run_count)
 from .errors import (BudgetExceededError, CantorScaleError, ConvergenceError,
                      DomainError, ParameterRangeError)
 from .families import (AsymQuadratic, Figure6, GammaPower, MapFamily,
@@ -17,7 +16,7 @@ from .families import (AsymQuadratic, Figure6, GammaPower, MapFamily,
 from .geometry import (GapFit, GapRecord, GoodFamilyConstants,
                        asymptotic_gap_fit, distortion_suite,
                        estimate_constants, gap, gap_geometry)
-from .metric import MetricChange, tilde_deriv, tilde_eval, tilde_scaling
+from .metric import MetricChange, tilde_eval, tilde_scaling
 from .scaling import (JumpAnalysis, ScalingEstimate, asymmetry, gamma_recover,
                       jump_at, scale_at, scaling_convergence, scaling_graph)
 from .symbolic import Code, DualPoint, parse_dual_point, point_from_code

@@ -219,20 +219,10 @@ def invariant_suite(family: MapFamily, eps: float) -> dict:
             "shift_conjugacy": {"checks": cells, "passed": conj_ok}}
 
 
-def decay_rate(family: MapFamily, eps: float, n_max: int):
-    """Least-squares exponential fit of the maximal cylinder lengths.
-
-    Fits ``log lambda_n ~ log C + n log lam`` over n = 2..n_max and returns
-    ``(C_fit, lambda_fit, residual, exponential)`` where ``exponential`` is
-    False when the fit residual exceeds 0.1.
-    """
-    if n_max < 4:
-        raise ValueError("n_max must be >= 4")
-    return _decay_fit(partition_levels(family, eps, n_max))
-
-
 def _decay_fit(levels: list[Partition]):
-    """``decay_rate``'s fit over n = 2..n_max of the levels 0..n_max."""
+    """Fit ``log lambda_n ~ log C + n log lam`` over n = 2..n_max of the
+    levels 0..n_max; returns ``(C_fit, lambda_fit, residual, exponential)``,
+    ``exponential`` being False when the fit residual exceeds 0.1."""
     ns = np.arange(2, len(levels))
     lam = np.asarray([levels[n].lambda_n for n in ns])
     slope, intercept = np.polyfit(ns, np.log(lam), 1)

@@ -8,13 +8,12 @@ which returns exactly delta = 1 when the cylinders tile the whole domain
 [-1, 1].  The logarithm of the sum is convex and strictly decreasing in
 delta, so Newton's method on it from delta = 1, with no bracket, climbs
 to the root from below in a few steps; the cross-depth pair (delta at
-depth-1, delta at depth) brackets the systematic error.  A root reports the residual of
-its own numpy sum of ``r^delta``; ``pressure_sum`` is the compensated
-reference sum.  A ``Partition.mirrored`` level (every power law, Figure6
-and AsymQuadratic at beta = 0) repeats its left half's cell lengths on the
-right exactly ((-a) - (-b) = b - a), so the root sums over the left half
-only and weights it by 2.  The sums then add in another order, which moves
-the root by at most about two ulps.
+depth-1, delta at depth) brackets the systematic error.  A root reports the
+residual of its own numpy sum of ``r^delta``.  A ``Partition.mirrored``
+level (every power law, Figure6 and AsymQuadratic at beta = 0) repeats its
+left half's cell lengths on the right exactly ((-a) - (-b) = b - a), so the
+root sums over the left half only and weights it by 2.  The sums then add
+in another order, which moves the root by at most about two ulps.
 """
 
 from __future__ import annotations
@@ -47,14 +46,6 @@ class DimensionEstimate:
     iterations: int        # Newton steps of the depth-``depth`` root
 
 
-def pressure_sum(part: Partition, delta: float) -> float:
-    """Compensated sum of relative cylinder lengths to the power delta."""
-    if not 0.0 <= delta <= 2.0:
-        raise DomainError("delta must lie in [0, 2]")
-    rel = part.lengths / 2.0
-    return math.fsum((rel ** delta).tolist())
-
-
 def _solve_delta(part: Partition) -> tuple[float, float, int]:
     """Newton root of F(delta) = log sum r^delta, from delta = 1.
 
@@ -65,9 +56,8 @@ def _solve_delta(part: Partition) -> tuple[float, float, int]:
     root of a tiling, which then returns exactly 1.0.  Cells of zero length
     add nothing for delta > 0 and are left out of ``log r``; a level whose
     every cell has length 0 has no root.  The returned residual ``|sum
-    r^delta - 1|`` is the pairwise numpy sum over the same ``log r``,
-    within about log2(cells) ulps of the compensated ``pressure_sum`` one,
-    and must be < ``_RESIDUAL_TOL``.
+    r^delta - 1|`` is the pairwise numpy sum over the same ``log r`` and
+    must be < ``_RESIDUAL_TOL``.
     """
     weight = 2.0 if part.mirrored else 1.0
     cells = len(part) // 2 if part.mirrored else len(part)
@@ -160,16 +150,3 @@ def zero_run_count(n: int) -> int:
         # append a one (the run resets) or a zero (the run grows)
         z0, z1, z2 = z0 + z1 + z2, z0, z1
     return z0 + z1 + z2
-
-
-def zero_run_count_bruteforce(n: int) -> int:
-    """Direct enumeration cross-check (n <= 20)."""
-    if n > 20:
-        raise DomainError("brute force capped at n = 20")
-    strings = np.arange(1 << n)
-    run = np.zeros(strings.size, dtype=np.int8)      # trailing zero run
-    longest = np.zeros_like(run)
-    for k in range(n):
-        run = np.where((strings >> k) & 1, 0, run + 1)
-        np.maximum(longest, run, out=longest)
-    return int(np.count_nonzero(longest < 3))

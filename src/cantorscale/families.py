@@ -42,9 +42,6 @@ import numpy as np
 
 from .errors import DomainError, ParameterRangeError
 
-#: distance from the critical point at which ``residual_limits`` reads r_f
-RESIDUAL_PROBE = 1e-9
-
 
 def _check_side(side) -> None:
     """Refuse a side, or an array of sides, other than 0 and 1; None, for no
@@ -112,22 +109,6 @@ class MapFamily:
 
     def critical_value(self, eps: float) -> float:
         return float(self.eval(eps, 0.0))
-
-    # -- power-law residual ----------------------------------------------
-
-    def power_law_residual(self, eps: float, x):
-        """r_f(x) = f'(x) / |x|^(gamma - 1), undefined at x = 0."""
-        eps = self.check_param(eps)
-        x = np.asarray(x, dtype=float)
-        if np.any(x == 0.0):
-            raise DomainError("power_law_residual undefined at x = 0")
-        r = self._deriv_raw(eps, x) / np.abs(x) ** (self.gamma - 1.0)
-        return float(r) if r.ndim == 0 else r
-
-    def residual_limits(self, eps: float) -> tuple[float, float]:
-        """One-sided limits (A, -B) of the residual at the critical point."""
-        return (float(self.power_law_residual(eps, -RESIDUAL_PROBE)),
-                float(self.power_law_residual(eps, RESIDUAL_PROBE)))
 
     # -- inverse branches -------------------------------------------------
 

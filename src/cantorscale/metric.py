@@ -194,12 +194,8 @@ class MetricChange:
             self.b = 1.0 / ((1.0 + self.eps) ** (2.0 / self.gamma - 1.0)
                             * self._f_reach)
 
-    def h(self, x):
-        """h(x); vectorized; h(-1) = -1, h(0) = 0, h(1) = 1.
-
-        For eps > 0 the metric is smooth up to +-(1 + eps) and h extends
-        there; for eps = 0 the domain is exactly [-1, 1].
-        """
+    def _within_reach(self, x) -> np.ndarray:
+        """x as a float array, refused beyond 1e-12 outside +-(1 + eps)."""
         x_arr = np.asarray(x, dtype=float)
         reach = 1.0 + self.eps
         # fmin/fmax skip NaN, which passes through; the initial values let
@@ -208,6 +204,16 @@ class MetricChange:
         if (np.fmin.reduce(x_arr, axis=None, initial=np.inf) < -bound
                 or np.fmax.reduce(x_arr, axis=None, initial=-np.inf) > bound):
             raise DomainError(f"metric change defined on [-{reach}, {reach}]")
+        return x_arr
+
+    def h(self, x):
+        """h(x); vectorized; h(-1) = -1, h(0) = 0, h(1) = 1.
+
+        For eps > 0 the metric is smooth up to +-(1 + eps) and h extends
+        there; for eps = 0 the domain is exactly [-1, 1].
+        """
+        x_arr = self._within_reach(x)
+        reach = 1.0 + self.eps
         if self._is_arcsin:
             # clip into a new array (a 0-d clip returns a numpy scalar,
             # which has no buffer to work in) and finish in place
@@ -222,7 +228,8 @@ class MetricChange:
         return float(y) if y.ndim == 0 else y
 
     def h_prime(self, x):
-        x_arr = np.asarray(x, dtype=float)
+        """h'(x) = b ((1 + eps)^2 - x^2)^(-p); vectorized, on h's domain."""
+        x_arr = self._within_reach(x)
         d = self.b * ((1.0 + self.eps) ** 2 - x_arr * x_arr) ** (-self._p)
         return float(d) if d.ndim == 0 else d
 
@@ -258,32 +265,6 @@ def tilde_eval(family: MapFamily, eps: float, y):
     # for eps > 0 the image reaches 1 + eps, where h still extends
     fx = np.clip(family.eval(eps, x), -1.0, 1.0 + eps)
     return m.h(fx)
-
-
-def tilde_deriv(family: MapFamily, eps: float, y,
-                side: int | None = None) -> float:
-    """f~'(y) by the chain rule, with one-sided limits at y in {-1, 0, 1}."""
-    m = _metric_for(family, eps)
-    if side is not None and (np.ndim(side) != 0 or side not in (0, 1)):
-        raise ValueError(f"side must be 0 or 1, got {side}")
-    g = family.gamma
-    p = (g - 1.0) / g
-    y = float(y)
-    if y == 0.0:
-        if side is None:
-            raise DomainError("side flag required at y = 0")
-        a_res, b_res = family.residual_limits(eps)
-        scale = (g * (1.0 + eps) / 2.0) ** p
-        if side == 0:
-            return a_res ** (1.0 / g) * scale
-        return -abs(b_res) ** (1.0 / g) * scale
-    if eps == 0.0 and abs(y) == 1.0:
-        # endpoint one-sided limits on the boundary of hyperbolicity
-        d = float(family.deriv(eps, y))
-        if y == -1.0:
-            return d ** (1.0 / g)
-        return -abs(d) ** (1.0 / g)
-    return float(_tilde_deriv_at(family, eps, m.h_inv(y)))
 
 
 def _tilde_deriv_at(family: MapFamily, eps: float, x):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cantorscale as cs
+from cantorscale.branches import _decay_fit
 
 
 def test_inverse_branch_examples():
@@ -77,13 +78,17 @@ def test_partition_budget():
         cs.partition(cs.Tent(), 0.0, 23)
 
 
+def _decay_rate(family, eps, n_max):
+    return _decay_fit(cs.partition_levels(family, eps, n_max))
+
+
 def test_decay_rate_examples():
-    C, lam, resid, expo = cs.decay_rate(cs.Tent(), 0.0, 10)
+    C, lam, resid, expo = _decay_rate(cs.Tent(), 0.0, 10)
     assert lam == pytest.approx(0.5, abs=1e-10)
     assert expo
-    _, lam, _, _ = cs.decay_rate(cs.Tent(), 1.0, 10)
+    _, lam, _, _ = _decay_rate(cs.Tent(), 1.0, 10)
     assert lam == pytest.approx(1.0 / 3.0, abs=1e-10)
-    _, lam, _, _ = cs.decay_rate(cs.Quadratic(), 0.0, 10)
+    _, lam, _, _ = _decay_rate(cs.Quadratic(), 0.0, 10)
     assert lam == pytest.approx(0.5, abs=0.01)
 
 
@@ -379,7 +384,6 @@ _ENTRY_CALLS = {
     "tilde_scaling": lambda fam, eps, x: cs.tilde_scaling(
         fam, eps, cs.parse_dual_point("0^inf|1."), 10),
     "tilde_eval": lambda fam, eps, x: cs.tilde_eval(fam, eps, x),
-    "tilde_deriv": lambda fam, eps, x: cs.tilde_deriv(fam, eps, x),
 }
 
 

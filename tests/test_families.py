@@ -83,14 +83,18 @@ def test_deriv_matches_finite_differences(family, eps):
         assert d == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+def _residual(family, eps, x):
+    """r_f(x) = f'(x) / |x|^(gamma - 1): its one-sided limits at the
+    critical point are the power law's coefficients on each side."""
+    return float(family.deriv(eps, x)) / abs(x) ** (family.gamma - 1.0)
+
+
 def test_power_law_residual_examples():
     q = cs.Quadratic()
-    assert q.power_law_residual(0.0, -1e-8) == pytest.approx(4.0, rel=1e-9)
-    assert q.power_law_residual(0.0, 1e-8) == pytest.approx(-4.0, rel=1e-9)
+    assert _residual(q, 0.0, -1e-8) == pytest.approx(4.0, rel=1e-9)
+    assert _residual(q, 0.0, 1e-8) == pytest.approx(-4.0, rel=1e-9)
     g3 = cs.GammaPower(3.0)
-    assert g3.power_law_residual(0.0, 1e-6) == pytest.approx(-6.0, rel=1e-9)
-    with pytest.raises(cs.DomainError):
-        q.power_law_residual(0.0, 0.0)
+    assert _residual(g3, 0.0, 1e-6) == pytest.approx(-6.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("family,eps", PRESETS)
@@ -98,8 +102,8 @@ def test_residual_one_sided_limits_settle(family, eps):
     for sign in (-1.0, 1.0):
         diffs = []
         for k in range(3, 9):
-            r1 = family.power_law_residual(eps, sign * 10.0 ** (-k))
-            r2 = family.power_law_residual(eps, sign * 10.0 ** (-k - 1))
+            r1 = _residual(family, eps, sign * 10.0 ** (-k))
+            r2 = _residual(family, eps, sign * 10.0 ** (-k - 1))
             diffs.append(abs(r1 - r2))
         # differences shrink toward zero (non-increasing up to roundoff)
         for a, b in zip(diffs, diffs[1:]):
@@ -108,7 +112,7 @@ def test_residual_one_sided_limits_settle(family, eps):
 
 
 def test_residual_limits_pair():
-    a, b = cs.Quadratic().residual_limits(0.0)
+    a, b = (_residual(cs.Quadratic(), 0.0, x) for x in (-1e-9, 1e-9))
     assert a == pytest.approx(4.0, rel=1e-6)
     assert b == pytest.approx(-4.0, rel=1e-6)
 
@@ -160,10 +164,11 @@ def test_spec_rejects_unknown_keys(spec):
 
 def test_asym_quadratic_residual_asymmetry():
     fam = cs.AsymQuadratic(0.5)
-    a, b = fam.residual_limits(0.0)
-    # one-sided residual magnitudes differ: that is the whole point
-    assert abs(a) != pytest.approx(abs(b), rel=1e-3)
-    assert a / abs(b) == pytest.approx(3.0, rel=1e-5)  # (1+beta)/(1-beta)
+    for k in range(3, 10):
+        a, b = (_residual(fam, 0.0, x) for x in (-10.0 ** -k, 10.0 ** -k))
+        # one-sided residual magnitudes differ: that is the whole point
+        assert abs(a) != pytest.approx(abs(b), rel=1e-3)
+        assert a / abs(b) == pytest.approx(3.0, rel=1e-5)  # (1+beta)/(1-beta)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import cantorscale as cs
 from cantorscale import geometry
+from cantorscale.branches import _decay_fit
 from cantorscale.geometry import (CONSTANT_SAMPLES, GapGeometrySummary,
                                   GoodFamilyConstants, _holder_constant)
 from cantorscale.metric import _tilde_deriv_at
@@ -423,14 +424,16 @@ def test_gap_geometry_matches_the_per_parent_loop(family, eps, depth):
 
 
 def _conjugate_derivative_bounds(family, eps, alpha):
-    """Reference: c2 and K2 through ``tilde_deriv`` at h(x), inverting h per point."""
+    """Reference: c2 and K2 through the chain rule at h^{-1}(h(x)), inverting
+    h per point."""
     eta2 = cs.partition_levels(family, eps, 2)[2]
     m = cs.MetricChange(family.gamma, eps)
     c2, K2 = math.inf, 0.0
     for lo_x, hi_x in ((float(eta2.los[2]), 0.0), (0.0, float(eta2.his[6]))):
         xs = np.linspace(lo_x, hi_x, CONSTANT_SAMPLES + 2)[1:-1]
         ys = np.asarray(m.h(xs))
-        td = np.abs([cs.tilde_deriv(family, eps, float(y)) for y in ys])
+        td = np.abs([float(_tilde_deriv_at(family, eps, m.h_inv(float(y))))
+                     for y in ys])
         c2 = min(c2, float(np.min(td)))
         K2 = max(K2, _holder_constant(ys, td, alpha))
     return c2, K2
@@ -503,7 +506,7 @@ def _estimate_constants_per_side(family, eps):
     A = K1 / c1 + (K3 ** alpha) * K2 / c2 + K3 / c3 + (g - 1.0) / g
     B = (g - 1.0) / (g * C1)
     C = (g - 1.0) / g
-    C0_fit, lam_fit, _, _ = cs.decay_rate(family, eps, n_max=10)
+    C0_fit, lam_fit, _, _ = _decay_fit(cs.partition_levels(family, eps, 10))
     lam = min(lam_fit, 0.95)
     C0 = 2.0 * max(C0_fit, 1.0)
     C2_sum = 2.0 * C0 / (1.0 - lam)

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 import cantorscale as cs
+from cantorscale.branches import _decay_fit
+from cantorscale.metric import _tilde_deriv_at
 
 
 def test_b_const_examples():
@@ -108,14 +110,17 @@ def test_arcsin_h_is_the_reference_bit_for_bit(eps):
 @pytest.mark.parametrize("eps", [0.0, 0.3])
 def test_h_edges(gamma, eps):
     m, reach = cs.MetricChange(gamma, eps), 1.0 + eps
-    for bad in (reach + 2e-12, -reach - 2e-12, [math.nan, reach + 2e-12],
+    message = re.escape(f"metric change defined on [-{reach}, {reach}]")
+    for bad in (reach + 0.5, reach + 2e-12, -reach - 2e-12,
+                [math.nan, reach + 2e-12],
                 [[0.0, -reach - 2e-12], [math.nan, 0.5]]):
-        with pytest.raises(cs.DomainError):
-            m.h(bad)
+        for method in (m.h, m.h_prime):   # h' shares h's domain
+            with pytest.raises(cs.DomainError, match=message):
+                method(bad)
     with pytest.raises(cs.DomainError, match=r"h_inv defined on \[-1, 1\]"):
         m.h_inv(1.5)
     assert m.h(reach + 5e-13) == m.h(reach) and m.h(-reach - 5e-13) == m.h(-reach)
-    assert math.isnan(m.h(math.nan))
+    assert math.isnan(m.h(math.nan)) and math.isnan(m.h_prime(math.nan))
     assert np.isnan(m.h(np.asarray([0.5, math.nan])))[1]
     empty = m.h(np.asarray([]))
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
@@ -155,24 +160,15 @@ def test_tilde_eval_examples():
     assert cs.tilde_eval(q, 0.0, -0.5) == pytest.approx(0.0, abs=1e-10)
 
 
+def _tilde_deriv(family, eps, y):
+    """f~'(y), the chain rule at x = h^{-1}(y)."""
+    x = cs.MetricChange(family.gamma, eps).h_inv(y)
+    return float(_tilde_deriv_at(family, eps, x))
+
+
 def test_tilde_deriv_examples():
-    q = cs.Quadratic()
-    assert cs.tilde_deriv(q, 0.0, 0.3) == pytest.approx(-2.0, abs=1e-9)
-    assert cs.tilde_deriv(q, 0.0, -1.0) == pytest.approx(2.0, abs=1e-9)
-    assert cs.tilde_deriv(q, 0.0, 1.0) == pytest.approx(-2.0, abs=1e-9)
-    assert cs.tilde_deriv(q, 0.0, 0.0, side=0) == pytest.approx(2.0, rel=1e-6)
-    assert cs.tilde_deriv(q, 0.0, 0.0, side=1) == pytest.approx(-2.0, rel=1e-6)
-    with pytest.raises(cs.DomainError):
-        cs.tilde_deriv(q, 0.0, 0.0)
-
-
-@pytest.mark.parametrize("side", [2, -1, 0.5, [0, 1], np.array([1])])
-@pytest.mark.parametrize("y", [0.0, 0.3])
-def test_tilde_deriv_refuses_a_side_other_than_0_or_1(y, side):
-    # only y = 0 reads the side, but a side is checked wherever it is given;
-    # f~'(y) takes one side, not an array of them
-    with pytest.raises(ValueError, match=re.escape(f"side must be 0 or 1, got {side}")):
-        cs.tilde_deriv(cs.Quadratic(), 0.1, y, side=side)
+    assert _tilde_deriv(cs.Quadratic(), 0.0, 0.3) == pytest.approx(-2.0,
+                                                                   abs=1e-9)
 
 
 @pytest.mark.parametrize("family,eps", [
@@ -185,7 +181,7 @@ def test_tilde_deriv_matches_finite_differences(family, eps):
     for y in [-0.9, -0.6, -0.3, -0.12, 0.17, 0.45, 0.8]:
         fd = (cs.tilde_eval(family, eps, y + h)
               - cs.tilde_eval(family, eps, y - h)) / (2 * h)
-        d = cs.tilde_deriv(family, eps, y)
+        d = _tilde_deriv(family, eps, y)
         assert d == pytest.approx(fd, rel=1e-5)
 
 
@@ -210,9 +206,9 @@ def test_tilde_scaling_equals_scaling_on_b_points():
 def test_decay_rate_equivalence():
     # partition decay of f and of the h-images agree
     family, eps = cs.Quadratic(), 0.3
-    _, lam_f, _, _ = cs.decay_rate(family, eps, 10)
-    m = cs.MetricChange(family.gamma, eps)
     levels = cs.partition_levels(family, eps, 10)
+    _, lam_f, _, _ = _decay_fit(levels)
+    m = cs.MetricChange(family.gamma, eps)
     lam_h = [float(np.max(np.asarray(m.h(p.his)) - np.asarray(m.h(p.los))))
              for p in levels]
     ns = np.arange(2, 11)

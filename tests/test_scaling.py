@@ -7,6 +7,7 @@ import pytest
 
 import cantorscale as cs
 from cantorscale import scaling
+from cantorscale.branches import _decay_fit
 from cantorscale.scaling import _CHAIN_BLOCK, LENGTH_FLOOR
 
 
@@ -99,7 +100,7 @@ def test_scaling_graph_additivity_quadratic():
 
 def test_monotone_refinement_delta_decay():
     q = cs.Quadratic()
-    _, lam_fit, _, _ = cs.decay_rate(q, 0.3, 10)
+    _, lam_fit, _, _ = _decay_fit(cs.partition_levels(q, 0.3, 10))
     est = cs.scale_at(q, 0.3, cs.DualPoint((), (1, 1, 0)), 20)
     deltas = np.abs(np.diff(np.asarray(est.approximant_sequence)))
     ns = np.arange(len(deltas))

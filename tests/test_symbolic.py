@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cantorscale as cs
+from cantorscale.branches import _decay_fit
 
 
 def test_shift_dual_examples():
@@ -79,7 +80,7 @@ def test_shift_approximant_consistency():
 
 def test_error_bound_shrinks_at_decay_rate():
     t = cs.Tent()
-    _, lam, _, _ = cs.decay_rate(t, 1.0, 10)
+    _, lam, _, _ = _decay_fit(cs.partition_levels(t, 1.0, 10))
     code = cs.Code(tuple(np.random.default_rng(5).integers(0, 2, 21)),
                    "truncated")
     bounds = [cs.point_from_code(t, 1.0, code, d)[1] for d in range(9, 21)]
