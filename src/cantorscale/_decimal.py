@@ -6,13 +6,18 @@ it.  ``digits`` finds those digits for a whole array with Schubfach
 JDK's ``DoubleToDecimal.toDecimal`` to ``uint64`` arrays: a few 64x64-bit
 products per value and no big integers.  The JDK's guard ``s >= 100`` and
 its tiny-subnormal branch, which serve Java's rule that a decimal has at
-least two digits, are left out, so 5e-324 keeps its one digit.
+least two digits, are left out, so 5e-324 keeps its one digit.  One call
+takes several equally long columns laid end to end, so a CSV chunk makes
+one digit search for all its float columns.
 
-``cells`` lays the digits out as CPython does, in one gather: positionally
-when the decimal point falls 3 places left of the first digit up to 16
-right of it, otherwise as ``d[.ddd]e±XX[X]``; ±0.0 is ``0.0`` / ``-0.0``.
-A cell is 24 bytes padded with NUL, and ``rows`` joins columns of cells
-into comma-separated, CRLF-ended lines without the padding.
+A value is written as a sign byte, ``-`` or NUL, and the cell of its
+magnitude, so the cell of ``-x`` is the cell of ``x`` after a sign byte
+toggled.  ``cells`` lays the magnitudes out as CPython does, in one
+gather: positionally when the decimal point falls 3 places left of the
+first digit up to 16 right of it, otherwise as ``d[.ddd]e±XX[X]``; a zero
+is ``0.0``.  The cells are NUL-padded to the widest of them, and ``rows``
+joins columns of cells, each behind its sign bytes, into comma-separated,
+CRLF-ended lines without the padding.
 
 The tables are built on the first call, not at import.
 """
@@ -25,9 +30,9 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-#: bytes per cell: a sign, 17 digits, the point, 'e', the exponent's sign
+#: bytes per magnitude cell: 17 digits, the point, 'e', the exponent's sign
 #: and three exponent digits
-_WIDTH = 24
+_WIDTH = 23
 #: decimal exponents k that the power table covers (Schubfach's K_MIN, K_MAX)
 _K_MIN, _K_MAX = -324, 292
 #: a source row is 8 four-byte words: three zeros and the 17 digits, the
@@ -39,8 +44,6 @@ _SOURCE_WIDTH = 32
 #: places from the first digit), then the exponent forms +XX, +XXX, -XX, -XXX
 _POINTS = range(-3, 17)
 _LAYOUTS = len(_POINTS) + 4
-#: layout keys per sign: digit count 1 ... 17 times layout
-_KEYS = 17 * _LAYOUTS
 
 #: uint64 scalars: an int64 array among uint64 ones makes float64
 _C_MIN, _T_MASK = np.uint64(1 << 52), np.uint64(2**52 - 1)
@@ -54,10 +57,10 @@ def _flog2pow10(e):
     return e * 913_124_641_741 >> 38
 
 
-def _layout_indices(negative: bool, n_digits: int, layout: int) -> list[int]:
-    """The source-row places a cell reads, NUL-padded to ``_WIDTH``."""
+def _layout_indices(n_digits: int, layout: int) -> list[int]:
+    """The source-row places a magnitude cell reads, before its padding."""
     digits = [_DIGIT + j for j in range(n_digits)]
-    out = [_MINUS] if negative else []
+    out = []
     if layout < len(_POINTS):
         point = _POINTS[layout]
         if point <= 0:
@@ -71,7 +74,7 @@ def _layout_indices(negative: bool, n_digits: int, layout: int) -> list[int]:
         out += digits[:1] + ([_DOT] + digits[1:] if n_digits > 1 else [])
         out += [_E, _MINUS if exp_negative else _PLUS]
         out += [_EXP, _EXP + 1, _EXP + 2][1 - three:]
-    return out + [_NUL] * (_WIDTH - len(out))
+    return out
 
 
 @functools.cache
@@ -79,8 +82,8 @@ def _tables():
     """Read-only tables, built on the first call: Schubfach's
     ``g = floor(10^-k 2^(125 - floor(-k log2 10))) + 1`` for k in
     [K_MIN, K_MAX] as the rows ``g mod 2^63`` and ``g >> 63``; the four
-    digits of 0 ... 9999 as ``uint32`` words; and the places each layout
-    key reads."""
+    digits of 0 ... 9999 as ``uint32`` words; the places each layout key
+    reads, NUL-padded to ``_WIDTH``; and the width of each key's cell."""
     powers = np.empty((2, _K_MAX - _K_MIN + 1), dtype=np.uint64)
     for i, k in enumerate(range(_K_MIN, _K_MAX + 1)):
         shift = 125 - _flog2pow10(-k)
@@ -89,12 +92,14 @@ def _tables():
         powers[:, i] = g & (2**63 - 1), g >> 63
     quads = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)),
                           dtype=np.uint32)
-    gather = np.array([_layout_indices(negative, n, layout)
-                       for negative in (False, True) for n in range(1, 18)
-                       for layout in range(_LAYOUTS)], dtype=np.intp)
-    for table in (powers, gather):
+    layouts = [_layout_indices(n, layout)
+               for n in range(1, 18) for layout in range(_LAYOUTS)]
+    gather = np.array([places + [_NUL] * (_WIDTH - len(places))
+                       for places in layouts], dtype=np.intp)
+    widths = np.array([len(places) for places in layouts], dtype=np.intp)
+    for table in (powers, gather, widths):
         table.flags.writeable = False
-    return powers, quads, gather
+    return powers, quads, gather, widths
 
 
 def _mulhi(a, b):
@@ -105,18 +110,23 @@ def _mulhi(a, b):
     return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _M32) >> 32)
 
 
-def digits(values, column: str):
-    """The source rows and layout keys of float64 ``values``, for ``cells``.
+def digits(values, names):
+    """The source rows, layout keys and sign bytes of float64 ``values``.
 
-    Row i holds the shortest round-trip digits of ``|values[i]|``
-    left-aligned in 17 places and zero-filled, the digits of its decimal
-    exponent, ``.-e+`` and NULs; key i picks the layout of value i with its
-    sign.  A non-finite value raises ``ConvergenceError`` naming ``column``.
+    ``values`` holds the equally long columns ``names`` end to end.  Row i
+    holds the shortest round-trip digits of ``|values[i]|`` left-aligned in
+    17 places and zero-filled, the digits of its decimal exponent, ``.-e+``
+    and NULs; key i picks the layout of that magnitude for ``cells``; sign
+    byte i is ``-`` when value i has its sign bit set, else NUL.  A
+    non-finite value raises ``ConvergenceError`` naming the first column
+    that holds one.
     """
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if not np.isfinite(v).all():
+    finite = np.isfinite(v)
+    if not finite.all():
+        column = names[np.argmin(finite) * len(names) // v.size]
         raise ConvergenceError(f"column {column!r} is not finite")
-    powers, quads, _ = _tables()
+    powers, quads, _, _ = _tables()
     bits = v.view(np.uint64)
     t, bq = bits & _T_MASK, (bits >> 52 & 0x7FF).astype(np.int64)
     zero = (bits & _M63) == 0
@@ -167,34 +177,40 @@ def digits(values, column: str):
     n_digits = np.where(zero, 1, 17 - np.argmax(significant, axis=1))
     layout = np.where((point >= -3) & (point <= 16), point + 3,
                       len(_POINTS) + 2 * (point < 1) + (quad[:, 5] >= 100))
-    keys = (bits >> 63).astype(np.intp) * _KEYS + (
-        n_digits - 1) * _LAYOUTS + layout
-    return source, keys
+    keys = (n_digits - 1) * _LAYOUTS + layout
+    signs = (bits >> 63).astype(np.uint8)
+    signs *= ord("-")
+    return source, keys, signs
 
 
-def cells(source, keys, negate: bool = False):
-    """The cells of ``digits``'s source rows and keys: ``repr`` of each value
-    (of its negation with ``negate``), NUL-padded to ``_WIDTH`` bytes."""
-    if negate:
-        keys = (keys + _KEYS) % (2 * _KEYS)
-    places = _tables()[2][keys]
+def cells(source, keys):
+    """The cells of ``digits``'s source rows and keys: ``repr`` of each
+    magnitude, NUL-padded to the widest of them."""
+    _, _, gather, widths = _tables()
+    places = gather[:, :widths[keys].max(initial=0)][keys]
     places += np.arange(0, source.size, _SOURCE_WIDTH)[:, None]
     return source.ravel()[places]
 
 
 def rows(columns) -> np.ndarray:
-    """Equally long columns of NUL-padded cells (``uint8`` matrices, one
-    row per line) as comma-joined lines ended by CRLF, as ``csv.writer``
-    writes them, without the NULs: the bytes, as a ``uint8`` array.  No cell
+    """Equally long columns as comma-joined lines ended by CRLF, as
+    ``csv.writer`` writes them, without NULs: the bytes, as a ``uint8``
+    array.  A column is a ``uint8`` matrix of NUL-padded cells, one row per
+    line, or a ``uint8`` vector of one byte per line (a sign, or NUL) that
+    is written in front of the next column's cell with no comma.  No cell
     written here needs quoting."""
-    widths = [column.shape[1] for column in columns]
-    table = np.empty((len(columns[0]), sum(widths) + len(widths) + 1),
-                     dtype=np.uint8)
+    # a matrix takes its cells and a comma, a vector its one byte
+    widths = [column.shape[1] + 1 if column.ndim == 2 else 1
+              for column in columns]
+    table = np.empty((len(columns[0]), sum(widths) + 1), dtype=np.uint8)
     start = 0
     for column, width in zip(columns, widths):
-        table[:, start:start + width] = column
-        table[:, start + width] = ord(",")
-        start += width + 1
+        if column.ndim == 1:
+            table[:, start] = column
+        else:
+            table[:, start:start + width - 1] = column
+            table[:, start + width - 1] = ord(",")
+        start += width
     table[:, start - 1:] = _CRLF
     table = table.ravel()
     return table[table != 0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConvergenceError
 from .families import MapFamily
 
 #: hard cap on partition depth (2^(depth+1) cylinders)
@@ -222,9 +222,14 @@ def invariant_suite(family: MapFamily, eps: float) -> dict:
 def _decay_fit(levels: list[Partition]):
     """Fit ``log lambda_n ~ log C + n log lam`` over n = 2..n_max of the
     levels 0..n_max; returns ``(C_fit, lambda_fit, residual, exponential)``,
-    ``exponential`` being False when the fit residual exceeds 0.1."""
+    ``exponential`` being False when the fit residual exceeds 0.1.  A
+    level whose every cell rounds to length 0 has no logarithm and raises
+    ``ConvergenceError``."""
     ns = np.arange(2, len(levels))
     lam = np.asarray([levels[n].lambda_n for n in ns])
+    if not np.all(lam > 0.0):
+        n = ns[np.argmin(lam > 0.0)]
+        raise ConvergenceError(f"decay fit: every level-{n} cell has length 0")
     slope, intercept = np.polyfit(ns, np.log(lam), 1)
     fit = intercept + slope * ns
     residual = float(np.max(np.abs(np.log(lam) - fit)))

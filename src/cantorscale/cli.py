@@ -26,10 +26,12 @@ as when dimension-curve meets an eps whose dimension defect 1 - delta
 rounds to 0.
 Numbers are written with Python's shortest round-trip decimal rendering,
 so a fixed config and seed produce byte-identical artifacts.  CSV cells
-hold the bytes ``repr`` gives, made a column at a time by ``_decimal``; a
-mirrored partition runs the digit search on its left half only and lays
-the same digits out with the opposite sign for the right half.  A
-non-finite CSV cell exits 2 and leaves no CSV.
+hold the bytes ``repr`` gives, made by ``_decimal`` with one digit search
+over all the float columns of a chunk of rows; each float is written as a
+sign byte and the cell of its magnitude.  A mirrored partition runs the
+digit search on its left half only: its right half writes the left half's
+``hi`` and ``lo`` cells as its ``lo`` and ``hi`` behind toggled sign bytes.
+A non-finite CSV cell exits 2, naming its column, and leaves no CSV.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import shutil
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -65,13 +67,11 @@ MIN_DEPTHS = {"distortion-check": 1, "dimension-curve": dimension.MIN_DEPTH}
 MAX_DEPTH = 1000
 #: distortion-check's chain peaks near 1.2 kB a sample: this caps it near 120 MB
 MAX_SAMPLES = 100_000
-#: rows of the partition and scaling-graph CSVs formatted per write; a
-#: mirrored partition formats this many left-half rows and derives
-#: as many mirrored ones per write, so memory holds one chunk whatever the
-#: depth
-CSV_CHUNK_ROWS = 4096
-#: the orientation cells 1 and -1, NUL-padded, indexed by a cell's parity
-_ORIENTATION = np.frombuffer(b"\x001-1", dtype=np.uint8).reshape(2, 2)
+#: rows of the partition and scaling-graph CSVs formatted per write, whose
+#: float columns go through one digit search; a mirrored partition formats
+#: this many left-half rows and derives as many mirrored ones per write, so
+#: memory holds one chunk whatever the depth
+CSV_CHUNK_ROWS = 2048
 
 
 class ConfigError(CantorScaleError, ValueError):
@@ -95,32 +95,48 @@ def _write_json(path: Path, payload: dict) -> None:
                                default=lambda obj: obj.item()) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], chunks) -> None:
+def _write_csv(path: Path, header: list[str], chunks, spill=None) -> None:
     """Write ``header``, then each chunk of columns of cells as
-    ``_decimal.rows``.  Each chunk is written at once, so a file streamed in
-    chunks is never held in memory; a chunk with a non-finite value leaves
-    no file."""
+    ``_decimal.rows``, then what the chunks wrote to the file ``spill``,
+    copied by the kernel.  Each chunk is written at once, so a file streamed
+    in chunks is never held in memory; a chunk with a non-finite value
+    leaves no file."""
     try:
         with path.open("wb") as fh:
             fh.write((",".join(header) + "\r\n").encode())
             for columns in chunks:
                 fh.write(_decimal.rows(columns))
+            if spill is not None:
+                fh.flush()
+                spill.flush()
+                size, sent = spill.tell(), 0
+                while sent < size:
+                    sent += os.sendfile(fh.fileno(), spill.fileno(), sent,
+                                        size - sent)
     except ConvergenceError:
         path.unlink(missing_ok=True)
         raise
 
 
-def _float_cells(values, column: str):
-    """``repr``'s cells of float64 ``values`` of ``column``."""
-    return _decimal.cells(*_decimal.digits(values, column))
+def _float_cells(columns, names) -> list:
+    """``repr``'s cells of the equally long float64 ``columns``, named
+    ``names``, from one digit search: ``[signs, cells]`` per column, as
+    ``_decimal.rows`` takes them."""
+    source, keys, signs = _decimal.digits(np.concatenate(columns), names)
+    bodies = _decimal.cells(source, keys)
+    n = len(columns[0])
+    return [part[j:j + n] for j in range(0, signs.size, n)
+            for part in (signs, bodies)]
 
 
 def _bit_cells(ks, width: int):
-    """Cells of the ``width`` low bits of each of ``ks``, most significant
-    first, as ``0``/``1`` bytes."""
-    bits = np.unpackbits(ks.astype(">u8").view(np.uint8).reshape(-1, 8),
+    """Cells of the ``width`` low bits of each of ``ks`` (``width`` <= 32,
+    and no word is longer than 23), most significant first, as ``0``/``1``
+    bytes."""
+    bits = np.unpackbits(ks.astype(">u4").view(np.uint8).reshape(-1, 4),
                          axis=1)
-    return bits[:, 64 - width:] + ord("0")
+    bits += ord("0")
+    return bits[:, 32 - width:]
 
 
 def _integer(key: str, value) -> int:
@@ -210,10 +226,12 @@ class Experiment:
     def cmd_partition(self) -> str:
         part = branches.partition(self.family, self.eps, self.depth)
         n, width = len(part), part.word_length
-        # odd[i] is the parity of the bits of i (Thue-Morse), built by doubling
-        odd = np.zeros(1, dtype=np.uint8)
-        while odd.size < n:
-            odd = np.concatenate([odd, odd ^ 1])
+        # the orientation is the signed cell 1: its sign byte is '-' where
+        # the bits of the word have odd parity (Thue-Morse), built by doubling
+        minus = np.zeros(1, dtype=np.uint8)
+        while minus.size < n:
+            minus = np.concatenate([minus, minus ^ ord("-")])
+        one = np.full((min(n, CSV_CHUNK_ROWS), 1), ord("1"), dtype=np.uint8)
         header = ["word", "lo", "hi", "length", "orientation"]
         path = self.path(".csv")
 
@@ -224,19 +242,20 @@ class Experiment:
             stop = n if spill is None else n // 2
             for start in range(0, stop, CSV_CHUNK_ROWS):
                 c = slice(start, min(start + CSV_CHUNK_ROWS, stop))
-                ks = np.arange(c.start, c.stop)
-                lo = _decimal.digits(part.los[c], "lo")
-                hi = _decimal.digits(part.his[c], "hi")
-                length = _decimal.digits(part.his[c] - part.los[c], "length")
-                length_cells = _decimal.cells(*length)
-                yield [_bit_cells(ks, width), _decimal.cells(*lo),
-                       _decimal.cells(*hi), length_cells, _ORIENTATION[odd[c]]]
+                los, his = part.los[c], part.his[c]
+                lo_sign, lo, hi_sign, hi, length_sign, length = _float_cells(
+                    [los, his, his - los], ("lo", "hi", "length"))
+                words = _bit_cells(np.arange(c.start, c.stop), width)
+                ones = one[:len(los)]
+                yield [words, lo_sign, lo, hi_sign, hi, length_sign, length,
+                       minus[c], ones]
                 if spill is not None:
+                    # word n/2 + i is word i with its first bit set; the
+                    # chunk is written before the generator resumes
+                    words[:, 0] = ord("1")
                     spill.write(_decimal.rows([
-                        _bit_cells(ks + n // 2, width),
-                        _decimal.cells(*hi, negate=True),
-                        _decimal.cells(*lo, negate=True), length_cells,
-                        _ORIENTATION[odd[c] ^ 1]]))
+                        words, hi_sign ^ ord("-"), hi, lo_sign ^ ord("-"), lo,
+                        length_sign, length, minus[c] ^ ord("-"), ones]))
 
         if not part.mirrored:
             _write_csv(path, header, chunks(None))
@@ -244,10 +263,7 @@ class Experiment:
             # the right half follows the whole left half, so it waits on
             # disk, never in memory
             with tempfile.TemporaryFile(dir=self.out_dir) as spill:
-                _write_csv(path, header, chunks(spill))
-                spill.seek(0)
-                with path.open("ab") as fh:
-                    shutil.copyfileobj(spill, fh)
+                _write_csv(path, header, chunks(spill), spill)
         return (f"partition depth={self.depth} cells={len(part)} "
                 f"lambda_n={part.lambda_n:.6g}")
 
@@ -260,9 +276,10 @@ class Experiment:
             for start in range(0, n, CSV_CHUNK_ROWS):
                 c = slice(start, min(start + CSV_CHUNK_ROWS, n))
                 ks = np.arange(c.start, c.stop)
-                yield [_float_cells(ks / n, "x_coord"),
-                       _bit_cells(ks, self.depth + 1)[:, ::-1],
-                       _float_cells(s[c], "s")]
+                x_sign, x, s_sign, s_cells = _float_cells(
+                    [ks / n, s[c]], ("x_coord", "s"))
+                yield [x_sign, x, _bit_cells(ks, self.depth + 1)[:, ::-1],
+                       s_sign, s_cells]
 
         _write_csv(self.path(".csv"), ["x_coord", "word", "s"], chunks())
         return (f"scaling-graph depth={self.depth} rows={n} "
@@ -301,10 +318,8 @@ class Experiment:
     def cmd_dimension_curve(self) -> str:
         ests, slope = dimension.hd_curve(self.family, self.eps_grid, self.depth)
         header = ["epsilon", "delta", "bracket_lo", "bracket_hi"]
-        columns = zip(*[(e.epsilon, e.delta, *e.bracket) for e in ests])
-        _write_csv(self.path(".csv"), header,
-                   [[_float_cells(col, name)
-                     for col, name in zip(columns, header)]])
+        columns = list(zip(*[(e.epsilon, e.delta, *e.bracket) for e in ests]))
+        _write_csv(self.path(".csv"), header, [_float_cells(columns, header)])
         _write_json(self.path("_fit.json"), {"slope": slope,
                                              "depth": self.depth})
         return f"dimension-curve slope={slope:.4f} points={len(ests)}"

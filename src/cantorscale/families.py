@@ -162,6 +162,11 @@ class _PowerLaw(MapFamily):
         g = self.gamma
         return -g * (2.0 + eps) * np.abs(x) ** (g - 1.0) * np.sign(x)
 
+    def _drop(self, eps, x):
+        """1 + eps - f_eps(x), the fall from the critical value, formed as
+        ``(2 + eps) |x|^gamma`` without subtracting."""
+        return (2.0 + eps) * np.abs(np.asarray(x, dtype=float)) ** self.gamma
+
     def _inverse(self, eps, side, y, out):
         t = np.subtract(1.0 + eps, y, out=out)
         np.divide(t, 2.0 + eps, out=t)
@@ -254,6 +259,14 @@ class _EvenQuartic(MapFamily):
         x = np.asarray(x, dtype=float)
         _, k, m = self._side_coeffs(eps, x)
         return -2.0 * k * x - 4.0 * m * (x * x * x)
+
+    def _drop(self, eps, x):
+        """crit - f_eps(x), the fall from the critical value, formed as ``k
+        x^2 + m x^4`` without subtracting."""
+        x = np.asarray(x, dtype=float)
+        _, k, m = self._side_coeffs(eps, x)
+        x2 = x * x
+        return k * x2 + m * x2 * x2
 
     def _inverse(self, eps, side, y, out):
         """The root ``u = 2c / (k + sqrt(k^2 + 4mc))`` of ``m u^2 + k u = c``.

@@ -270,14 +270,15 @@ def _constants(family: MapFamily,
         xs = np.linspace((a_pt, 0.0), (0.0, d_pt), CONSTANT_SAMPLES + 2,
                          axis=1)[:, 1:-1]
         # f~'(h(x)) straight from x: no round trip through h^{-1}.  It
-        # divides by (1+eps)^2 - f(x)^2, which is 0 where f(x) rounds to
-        # the critical value, as |x|^40 does next to 0
+        # divides by (1+eps - f(x))(1+eps + f(x)), whose first factor
+        # (2+eps) |x|^gamma underflows to 0 next to 0 for a large gamma, as
+        # |x|^200 does
         with np.errstate(divide="ignore", invalid="ignore"):
             td = np.abs(_tilde_deriv_at(family, eps, xs))
         if not np.all(np.isfinite(td) & (td > 0.0)):
             raise ConvergenceError(
-                "conjugate derivative bound degenerates in binary64: f "
-                "rounds to its critical value on the middle intervals")
+                "conjugate derivative bound degenerates in binary64: 1 + eps"
+                " - f underflows to 0 on the middle intervals")
         c2 = float(np.min(td))
         K2 = max(map(_holder_constant, m.h(xs), td, (alpha, alpha)))
 

@@ -271,13 +271,16 @@ def _tilde_deriv_at(family: MapFamily, eps: float, x):
     """f~'(h(x)) by the chain rule away from the critical point; vectorized.
 
     ``f'(x) ((1+eps)^2 - x^2)^p / ((1+eps)^2 - f(x)^2)^p`` with
-    ``p = (gamma - 1) / gamma``: the normalization b of h cancels.
+    ``p = (gamma - 1) / gamma``: the normalization b of h cancels.  The
+    denominator is written ``(1+eps - f)(1+eps + f)`` with the first factor
+    from the family's closed form, so it keeps its relative precision next
+    to the critical point, where f(x) nears 1 + eps.
     """
     p = (family.gamma - 1.0) / family.gamma
     x = np.asarray(x, dtype=float)
     fx = family.eval(eps, x)
     num = ((1.0 + eps) ** 2 - x * x) ** p
-    den = ((1.0 + eps) ** 2 - fx * fx) ** p
+    den = (family._drop(eps, x) * (1.0 + eps + fx)) ** p
     return family.deriv(eps, x) * num / den
 
 

@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,6 +239,42 @@ def test_a_non_finite_csv_cell_exits_2_and_leaves_no_csv(tmp_path, monkeypatch,
                               "family": {"kind": "quadratic"},
                               "epsilon": 0.0, "depth": 6}) == 2
     assert capsys.readouterr().err == "non-convergence: column 's' is not finite\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+#: the planted row's (lo, hi) per column: the first column of the fused
+#: search that holds a non-finite value is its own
+PLANTED = {"lo": (math.nan, 0.5), "hi": (0.25, math.inf),
+           "length": (-1.7e308, 1.7e308)}
+
+
+@pytest.mark.parametrize("column", PLANTED)
+@pytest.mark.parametrize("spec", [
+    {"kind": "quadratic"}, {"kind": "asym_quadratic", "params": {"beta": 0.3}},
+], ids=["mirrored", "unmirrored"])
+def test_a_non_finite_partition_cell_names_its_column(tmp_path, monkeypatch,
+                                                      capsys, spec, column):
+    # one digit search covers lo, hi and length together; the value sits in
+    # the last row that the search reads, in the last of 4 (mirrored) or 8
+    # chunks of 16 rows
+    partition = cantorscale.branches.partition
+
+    def planted(*args):
+        part = partition(*args)
+        los, his = part.los.copy(), part.his.copy()
+        row = len(part) // 2 - 1 if part.mirrored else len(part) - 1
+        los[row], his[row] = PLANTED[column]
+        return cantorscale.Partition(part.depth, los, his, part.mirrored)
+
+    monkeypatch.setattr(cantorscale.branches, "partition", planted)
+    monkeypatch.setattr(cantorscale.cli, "CSV_CHUNK_ROWS", 16)
+    # the planted length is hi - lo overflowing to inf
+    with np.errstate(over="ignore"):
+        assert run_cli(tmp_path, {"command": "partition", "family": spec,
+                                  "epsilon": 0.2, "depth": 6}) == 2
+    assert capsys.readouterr().err == (f"non-convergence: column {column!r} "
+                                       "is not finite\n")
+    # no CSV, and no spilled mirror half
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

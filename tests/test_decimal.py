@@ -22,15 +22,19 @@ LAYOUT_EDGES = [1e-4, 9.999999999999999e-05, 1e-5, 1e15, 1e16,
 
 
 def assert_cells_are_repr(values):
-    # one CRLF-ended line per value, for the values and for their negations,
-    # whose repr is the value's with its leading '-' toggled
+    # one CRLF-ended line per value, for the values and for their negations:
+    # a negation is the value's magnitude cell behind the toggled sign byte,
+    # and its repr is the value's with its leading '-' toggled
     values = np.asarray(values, dtype=np.float64)
-    source, keys = _decimal.digits(values, "x")
+    source, keys, signs = _decimal.digits(values, ["x"])
+    cells = _decimal.cells(source, keys)
     reprs = [*map(repr, values.tolist())]
     negated = [r[1:] if r[0] == "-" else "-" + r for r in reprs]
-    for negate, cells in ((False, reprs), (True, negated)):
-        got = bytes(_decimal.rows([_decimal.cells(source, keys, negate)]))
-        want = "".join(cell + "\r\n" for cell in cells).encode()
+    # the cells are as wide as the widest magnitude, no wider
+    assert cells.shape[1] == max(len(r.lstrip("-")) for r in reprs)
+    for sign, want_cells in ((signs, reprs), (signs ^ ord("-"), negated)):
+        got = bytes(_decimal.rows([sign, cells]))
+        want = "".join(cell + "\r\n" for cell in want_cells).encode()
         if got != want:
             lines = zip(got.split(b"\r\n"), want.split(b"\r\n"), strict=True)
             bad = next((g, w) for g, w in lines if g != w)
@@ -68,7 +72,22 @@ def test_cells_of_hypothesis_floats(values):
 def test_a_non_finite_value_is_refused_by_column(bad):
     with pytest.raises(cantorscale.ConvergenceError,
                        match="column 'hi' is not finite"):
-        _decimal.digits([0.5, bad, 0.25], "hi")
+        _decimal.digits([0.5, bad, 0.25], ["hi"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at,column", [(0, "lo"), (3, "lo"), (4, "hi"),
+                                       (8, "length"), (11, "length")])
+def test_one_search_over_three_columns_names_the_first_bad_one(bad, at,
+                                                               column):
+    # three columns of four values end to end: the first column holding a
+    # non-finite value is named, however many later ones hold one too
+    values = np.linspace(0.125, 1.5, 12)
+    values[at] = bad
+    values[at + 1:] = math.nan
+    with pytest.raises(cantorscale.ConvergenceError,
+                       match=f"column '{column}' is not finite"):
+        _decimal.digits(values, ("lo", "hi", "length"))
 
 
 def test_import_leaves_the_power_table_unbuilt():
@@ -84,7 +103,7 @@ def test_import_leaves_the_power_table_unbuilt():
         "assert _decimal._tables.cache_info().currsize == 0",
         "with tempfile.TemporaryDirectory() as out:",
         "    path = Path(out) / 'one.csv'",
-        "    cli._write_csv(path, ['x'], [[cli._float_cells(np.ones(1), 'x')]])",
+        "    cli._write_csv(path, ['x'], [cli._float_cells([np.ones(1)], ['x'])])",
         "    assert path.read_bytes() == b'x\\r\\n1.0\\r\\n'",
         "assert _decimal._tables.cache_info().currsize == 1",
     ])

@@ -200,6 +200,15 @@ def test_newton_root_raises_above_tolerance(monkeypatch):
         _solve_delta(cs.partition(cs.Quadratic(), 0.3, 8))
 
 
+def test_a_root_stopped_short_of_the_residual_tolerance_is_refused(
+        monkeypatch):
+    # two Newton steps leave this level a residual of 8.2e-8: above the
+    # 1e-10 tolerance and below 1e-7, so a looser tolerance would pass it
+    monkeypatch.setattr(cs.dimension, "_MAX_STEPS", 2)
+    with pytest.raises(cs.ConvergenceError, match="residual 8.17e-08"):
+        _solve_delta(cs.partition(cs.Quadratic(), 0.05, 10))
+
+
 def test_newton_root_raises_when_every_cell_has_length_zero():
     part = cs.Partition(1, np.zeros(4), np.zeros(4))
     with warnings.catch_warnings():

@@ -104,10 +104,22 @@ def test_estimate_constants_tent_at_eps_zero_takes_one_sided_slopes():
 
 @pytest.mark.parametrize("eps", [0.5, 1.0])
 def test_estimate_constants_refuses_a_derivative_bound_lost_to_rounding(eps):
-    # |x|^40 rounds f(x) to its critical value next to 0, so f~' divides
-    # by 0 there; the refusal comes before the division's RuntimeWarning
+    # |x|^200 underflows to 0 next to 0, so f~' divides by 0 there; the
+    # refusal comes before the division's RuntimeWarning
     with pytest.raises(cs.ConvergenceError, match="degenerates in binary64"):
-        cs.estimate_constants(cs.GammaPower(40.0), eps)
+        cs.estimate_constants(cs.GammaPower(200.0), eps)
+
+
+def test_estimate_constants_at_gamma_40_bounds_or_refuses_the_decay():
+    # f rounds to its critical value next to 0, but 1 + eps - f does not
+    # underflow, so f~' keeps its bound: constants at eps = 0.5.  At
+    # eps = 1 every level-10 cell rounds to length 0, which has no decay
+    # rate to fit, and the refusal comes before log(0)'s RuntimeWarning
+    k = cs.estimate_constants(cs.GammaPower(40.0), 0.5)
+    assert np.isfinite(k.D) and k.c2 > 0.0 and k.K2 > 0.0
+    with pytest.raises(cs.ConvergenceError,
+                       match="decay fit: every level-10 cell has length 0"):
+        cs.estimate_constants(cs.GammaPower(40.0), 1.0)
 
 
 def test_constants_continuity_in_eps():
@@ -283,28 +295,29 @@ def test_distortion_suite_matches_the_per_sample_loop(family, eps, n, max_len,
 # rhs_uniform arrays, one after the other) of each SUITE_CASES suite,
 # recorded with numpy 2.4.6 on x86-64 with AVX-512 (another build's SIMD
 # log, exp or power may round differently) from the closed-form c1, K1, c3
-# and K3 and the quartic cube x * x * x.
+# and K3, the quartic cube x * x * x and the f~' denominator
+# (1+eps - f)(1+eps + f), whose first factor is the family's closed form.
 SUITE_PINS = [
     (200, 200, "1.0008312521985427",
-     "98de939b98b1cbe8640a1d4ca549d94c8a4542e601ff7dcf040f1fa036241155"),
+     "86edffda91aee2b95d09e6d637eea2dafdf8f9a8004508ebf321cf8cc68624c7"),
     (200, 200, "1.0002613502085678",
-     "99d19f77382ec9b7828c8f5e2038c3c987c182049e9eb96f3f0befe4b309fdad"),
+     "92afbfbb58e36412443a45e1f2e5f448370bbd13515d1f73214749b49893b0e1"),
     (200, 200, "1.0001477035722335",
-     "34d1b47849e2e7a7f2e6d1be8ea161524ea9207f3fa7c9248da3e7b7426b0fed"),
+     "32411128bc261fe9e433baae95fd372a143233c36eaf272db15f70c7565ad9c2"),
     (100, 100, "1.0063108005850951",
-     "e3d7fe08e4f7d52276a554809da4b73bc06cc1c22249d2d89b531814c299a3b6"),
+     "a0f50bc09bbd72a1236647aeac692e7a6bd2f1492d09211ccd3aec4ba8e70a27"),
     (100, 100, "1.1744093287049902",
-     "995096b7eeefeab49826e58a849ae578542c1e2b2bda12ca889cc61fb3102ec7"),
+     "e8b4fe17c8226e94c0b3799235f656a83fed00a2d536bdea6f52477c83c5bf17"),
     (15, 15, "1.0404199630528597",
-     "91bd2c70dc4b8eb9e238dca6cbf4c226e51fdf3ce6080fdf1902751c990ea9cb"),
+     "4b01f6b3bc8280b501c8ec4351c0e394a11b650fd7076136221a035481625e9f"),
     (100, 100, "1.0",
      "5b638086c129ee3235cf80c1b00a0c70a46283867104a3518aba9b5d019d7ec7"),
     (3334, 3334, "1.0002212746135932",
-     "f7a48d1e6fd36b24943025f3e6788743184a700c8d3170fc99a82f615cd115fc"),
+     "8fde47623d2a8642adb838b023360b7e4ae5a44335dafdfd1fed11642a44658e"),
     (3334, 3334, "1.0000679365704996",
-     "a9211368933ea06948344c51ab3c9a5185142d7635005e6d7b94d82e5dc7ff70"),
+     "cd6386245df2d2e54c50107cefd93d5175ad7dd6222914156314d550fca62fec"),
     (3334, 3334, "1.0000208052621422",
-     "2b91affbffc01463ae7ea28d4b9b98a77e52d5a0adb810e91ab40650cc753f4d"),
+     "0fdd6835ae8781b2c8ace096189c9a1814fc63884f4c9e00e044f77601b0a41f"),
 ]
 
 

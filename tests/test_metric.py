@@ -185,6 +185,37 @@ def test_tilde_deriv_matches_finite_differences(family, eps):
         assert d == pytest.approx(fd, rel=1e-5)
 
 
+def _mp_tilde_deriv(family, eps, x):
+    """f~'(h(x)) of ``_tilde_deriv_at``'s formula in mpmath, on the library's
+    binary64 reach fl(1 + eps), coefficients and exponent p."""
+    reach, x = mpmath.mpf(1.0 + eps), mpmath.mpf(x)
+    if family.kind == "gamma_power":
+        g, slope = mpmath.mpf(family.gamma), mpmath.mpf(2.0 + eps)
+        f = reach - slope * abs(x) ** g
+        df = -g * slope * abs(x) ** (g - 1) * mpmath.sign(x)
+    else:
+        _, k, m = map(mpmath.mpf, family._coeffs(eps, int(x > 0)))
+        f = reach - k * x ** 2 - m * x ** 4
+        df = -2 * k * x - 4 * m * x ** 3
+    p = mpmath.mpf((family.gamma - 1.0) / family.gamma)
+    return df * (reach ** 2 - x ** 2) ** p / (reach ** 2 - f ** 2) ** p
+
+
+@pytest.mark.parametrize("family,eps", [
+    (cs.GammaPower(3.0), 0.05), (cs.AsymQuadratic(0.3), 0.05),
+    (cs.AsymQuadratic(0.3), 0.2)], ids=["gamma3", "asym-0.05", "asym-0.2"])
+@pytest.mark.parametrize("x", [1e-3, 1e-4, 3e-5, 1e-5, -1e-3, -1e-5])
+def test_tilde_deriv_keeps_its_precision_next_to_the_critical_point(
+        family, eps, x):
+    # (1+eps)^2 - f^2 formed by subtraction lost 1e-16 / |x|^gamma of
+    # relative precision: 1.3e-8 to 1.4e-2 for gamma = 3 at these x, 9e-13
+    # to 1.3e-7 for AsymQuadratic(0.3); the product reads at most 2.3e-16
+    with mpmath.workdps(40):
+        want = _mp_tilde_deriv(family, eps, x)
+        have = float(_tilde_deriv_at(family, eps, x))
+        assert abs((have - want) / want) <= 1e-15
+
+
 def test_tilde_scaling_quadratic_is_half_everywhere():
     q = cs.Quadratic()
     for a in (cs.DualPoint((), (1, 0)), cs.DualPoint((), "zeros"),

@@ -62,6 +62,12 @@ MUTATIONS = [
      "np.where(sides, 1.0, -1.0)", "np.where(sides, -1.0, 1.0)"),
     ("dual-point-extra-dots", "symbolic",
      ' or "." in suffix_txt[:-1]', ""),
+    ("mirror-keeps-signs", "cli",
+     'hi_sign ^ ord("-"), hi, lo_sign ^ ord("-"), lo,',
+     "hi_sign, hi, lo_sign, lo,"),
+    ("fused-cells-offset", "cli",
+     "for part in (signs, bodies)]",
+     "for part in (signs, np.roll(bodies, n, axis=0))]"),
 ]
 
 
