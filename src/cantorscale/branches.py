@@ -9,7 +9,9 @@ holds all cylinders with words of length n + 1.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -150,42 +152,46 @@ class Partition:
         return Word(bits)
 
 
-def partition_levels(family: MapFamily, eps: float, n: int) -> list[Partition]:
-    """Partitions for every depth 0..n, built one branch application per level."""
+def _refinement(family: MapFamily, eps: float, n: int):
+    """The domain as a one-cell level -1, then the partitions of depth 0..n,
+    each refined from the one before only when read; checked at the call."""
     if n < 0:
         raise ValueError("depth must be >= 0")
     if n > DEFAULT_DEPTH_BUDGET:
         raise BudgetExceededError(
             f"depth {n} exceeds budget {DEFAULT_DEPTH_BUDGET}")
     eps = family.check_param(eps)
-    dlo, dhi = family.domain
-    los = np.asarray([dlo])
-    his = np.asarray([dhi])
-    # eps is checked and the ends start at the domain's, which the branches
-    # map into itself, so the refinement runs the unchecked inverse
     inverse = family._inverse
-    levels = []
-    for depth in range(n + 1):
+
+    def refine(up: Partition, depth: int) -> Partition:
         # prepend one outermost branch: level-(n+1) cylinders are g_b(I_w),
-        # each branch written straight into its half of the new level
-        m = los.size
-        new_los, new_his = np.empty(2 * m), np.empty(2 * m)
-        inverse(eps, 0, los, out=new_los[:m])
-        inverse(eps, 0, his, out=new_his[:m])
+        # each branch written straight into its half of the new level by
+        # the unchecked inverse (eps is checked, and the branches map the
+        # domain's ends into itself)
+        m = len(up)
+        los, his = np.empty(2 * m), np.empty(2 * m)
+        inverse(eps, 0, up.los, out=los[:m])
+        inverse(eps, 0, up.his, out=his[:m])
         if family._mirrored:  # g_1 = -g_0; a side-1 branch swaps lo and hi
-            np.negative(new_his[:m], out=new_los[m:])
-            np.negative(new_los[:m], out=new_his[m:])
+            np.negative(his[:m], out=los[m:])
+            np.negative(los[:m], out=his[m:])
         else:
-            inverse(eps, 1, his, out=new_los[m:])
-            inverse(eps, 1, los, out=new_his[m:])
-        los, his = new_los, new_his
-        levels.append(Partition(depth, los, his, family._mirrored))
-    return levels
+            inverse(eps, 1, up.his, out=los[m:])
+            inverse(eps, 1, up.los, out=his[m:])
+        return Partition(depth, los, his, family._mirrored)
+
+    domain = Partition(-1, *(np.asarray([end]) for end in family.domain))
+    return accumulate(range(n + 1), refine, initial=domain)
+
+
+def partition_levels(family: MapFamily, eps: float, n: int) -> list[Partition]:
+    """Partitions for every depth 0..n, built one branch application per level."""
+    return list(_refinement(family, eps, n))[1:]
 
 
 def partition(family: MapFamily, eps: float, n: int) -> Partition:
     """The depth-n partition: all 2^(n+1) cylinders with words of length n+1."""
-    return partition_levels(family, eps, n)[-1]
+    return deque(_refinement(family, eps, n), maxlen=1).pop()
 
 
 def invariant_suite(family: MapFamily, eps: float) -> dict:
@@ -198,21 +204,19 @@ def invariant_suite(family: MapFamily, eps: float) -> dict:
     dlo, dhi = family.domain
     ends = np.asarray(family.eval(eps, np.asarray(family.domain))) - dlo
     top = family.critical_value(eps) - (dhi + eps * (dhi - dlo) / 2.0)
-    levels = partition_levels(family, eps, 8)
     nest_ok = conj_ok = True
-    up_los, up_his = np.asarray([dlo]), np.asarray([dhi])
-    for level in levels:
+    cells = 0
+    for up, level in pairwise(_refinement(family, eps, 8)):
         los, his = level.los.reshape(-1, 2), level.his.reshape(-1, 2)
         gaps = los.max(axis=1) - his.min(axis=1)
         nest_ok &= bool(np.all(gaps >= -tol)
-                        and np.all(np.abs(los.min(axis=1) - up_los) <= tol)
-                        and np.all(np.abs(his.max(axis=1) - up_his) <= tol))
+                        and np.all(np.abs(los.min(axis=1) - up.los) <= tol)
+                        and np.all(np.abs(his.max(axis=1) - up.his) <= tol))
         # row b, column j: cell b * 2^n + j, whose image is cell j above
         image = family.eval(eps, (level.los + level.his) / 2.0).reshape(2, -1)
-        conj_ok &= bool(np.all(image >= up_los - tol)
-                        and np.all(image <= up_his + tol))
-        up_los, up_his = level.los, level.his
-    cells = sum(map(len, levels))
+        conj_ok &= bool(np.all(image >= up.los - tol)
+                        and np.all(image <= up.his + tol))
+        cells += len(level)
     return {"endpoints": {"checks": 3, "passed": bool(
                 np.max(np.abs(ends)) < tol and abs(top) < 1e-9)},
             "nesting_additivity": {"checks": cells // 2, "passed": nest_ok},

@@ -39,7 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -98,7 +98,7 @@ def _write_json(path: Path, payload: dict) -> None:
 def _write_csv(path: Path, header: list[str], chunks, spill=None) -> None:
     """Write ``header``, then each chunk of columns of cells as
     ``_decimal.rows``, then what the chunks wrote to the file ``spill``,
-    copied by the kernel.  Each chunk is written at once, so a file streamed
+    copied from its start.  Each chunk is written at once, so a file streamed
     in chunks is never held in memory; a chunk with a non-finite value
     leaves no file."""
     try:
@@ -107,12 +107,8 @@ def _write_csv(path: Path, header: list[str], chunks, spill=None) -> None:
             for columns in chunks:
                 fh.write(_decimal.rows(columns))
             if spill is not None:
-                fh.flush()
-                spill.flush()
-                size, sent = spill.tell(), 0
-                while sent < size:
-                    sent += os.sendfile(fh.fileno(), spill.fileno(), sent,
-                                        size - sent)
+                spill.seek(0)
+                shutil.copyfileobj(spill, fh)
     except ConvergenceError:
         path.unlink(missing_ok=True)
         raise
@@ -346,7 +342,7 @@ class Experiment:
             max_word_len=min(self.depth, 15), seed=self.seed)
         _write_json(self.path(".json"), {
             "epsilon": self.eps, "samples": n_total, "passed": n_pass,
-            "worst_margin": worst})
+            "dropped": self.n_samples - n_total, "worst_margin": worst})
         if n_pass != n_total:
             raise ConvergenceError(
                 f"distortion bound failed on {n_total - n_pass} samples")

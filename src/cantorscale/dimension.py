@@ -19,11 +19,12 @@ in another order, which moves the root by at most about two ulps.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import Partition, partition_levels
+from .branches import Partition, _refinement
 from .errors import ConvergenceError, DomainError
 from .families import MapFamily
 
@@ -90,9 +91,10 @@ def hd_estimate(family: MapFamily, eps: float, depth: int) -> DimensionEstimate:
     """Dimension estimate at one eps with the cross-depth bracket."""
     if depth < MIN_DEPTH:
         raise DomainError(f"hd_estimate needs depth >= {MIN_DEPTH}")
-    levels = partition_levels(family, eps, depth)
-    d_prev, _, _ = _solve_delta(levels[depth - 1])
-    d_last, residual, iterations = _solve_delta(levels[depth])
+    # the last two levels, each freed once its root is taken
+    levels = deque(_refinement(family, eps, depth), maxlen=2)
+    d_prev, _, _ = _solve_delta(levels.popleft())
+    d_last, residual, iterations = _solve_delta(levels.pop())
     lo, hi = sorted((d_prev, d_last))
     return DimensionEstimate(epsilon=eps, depth=depth, delta=d_last,
                              bracket=(lo, hi), residual=residual,

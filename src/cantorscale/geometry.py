@@ -16,11 +16,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
-from .branches import (Partition, Word, _decay_fit, apply_branches, cylinder,
-                       partition_levels)
+from .branches import (Partition, Word, _decay_fit, _refinement,
+                       apply_branches, cylinder, partition_levels)
 from .errors import ConvergenceError, DomainError
 from .families import MapFamily, _EvenQuartic
 from .metric import _metric_for, _tilde_deriv_at
@@ -106,11 +107,10 @@ def gap(family: MapFamily, eps: float, word: Word | None) -> GapRecord:
 def gap_geometry(family: MapFamily, eps: float,
                  depth: int) -> GapGeometrySummary:
     """Aggregate gap and child ratios over all words of length <= depth."""
-    dlo, dhi = family.domain
-    parent_len = np.asarray([dhi - dlo])   # the domain is the parent of level 0
     min_gap, max_gap, min_child = math.inf, -math.inf, math.inf
     # the children of parent j at level k - 1 sit at 2j and 2j + 1 of level k
-    for level in partition_levels(family, eps, depth):
+    for parent, level in pairwise(_refinement(family, eps, depth)):
+        parent_len = parent.lengths
         lo0, lo1 = level.los[0::2], level.los[1::2]
         hi0, hi1 = level.his[0::2], level.his[1::2]
         r0 = (hi0 - lo0) / parent_len
@@ -119,7 +119,6 @@ def gap_geometry(family: MapFamily, eps: float,
         min_gap = min(min_gap, float(g.min()))
         max_gap = max(max_gap, float(g.max()))
         min_child = min(min_child, float(r0.min()), float(r1.min()))
-        parent_len = level.lengths
 
     return GapGeometrySummary(depth=depth, min_gap_ratio=min_gap,
                               max_gap_ratio=max_gap,
@@ -228,11 +227,11 @@ def estimate_constants(family: MapFamily, eps: float) -> GoodFamilyConstants:
 
 
 def _constants(family: MapFamily,
-               eps: float) -> tuple[GoodFamilyConstants, list[Partition]]:
-    """``estimate_constants`` and the levels 0.._DECAY_DEPTH it reads."""
+               eps: float) -> tuple[GoodFamilyConstants, Partition]:
+    """``estimate_constants`` and the level-1 partition it reads."""
     eps = family.check_param(eps)
     levels = partition_levels(family, eps, _DECAY_DEPTH)
-    eta0, eta1, eta2 = levels[:3]
+    eta0, eta1, eta2, *_ = levels
     alpha = default_alpha(family)
     g = family.gamma
 
@@ -298,7 +297,7 @@ def _constants(family: MapFamily,
         c1=c1, K1=K1, c2=c2, K2=K2, c3=c3, K3=K3, C1=C1, alpha=alpha,
         A=A, B=B, C=C, C2_sum=C2_sum, C3_sum=C3_sum,
         D=(A + B * C2_sum) * C3_sum, E=C * C3_sum,
-        degenerate=degenerate), levels
+        degenerate=degenerate), eta1
 
 
 def _distortion(family: MapFamily, eps: float, sides, steps, x, y,
@@ -347,8 +346,7 @@ def distortion_suite(family: MapFamily, eps: float, n_samples: int,
     if n_samples < 1 or max_word_len < 1:
         raise ValueError("n_samples and max_word_len must be >= 1")
     rng = np.random.default_rng(seed)
-    constants, levels = _constants(family, eps)
-    eta1 = levels[1]
+    constants, eta1 = _constants(family, eps)
     lo_ok = np.maximum(eta1.los, family.domain[0] + MIN_BOUNDARY_DISTANCE)
     hi_ok = np.minimum(eta1.his, family.domain[1] - MIN_BOUNDARY_DISTANCE)
     cell = rng.integers(0, len(lo_ok), n_samples)

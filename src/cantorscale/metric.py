@@ -195,7 +195,8 @@ class MetricChange:
                             * self._f_reach)
 
     def _within_reach(self, x) -> np.ndarray:
-        """x as a float array, refused beyond 1e-12 outside +-(1 + eps)."""
+        """x as a new float array clipped into [-(1 + eps), 1 + eps], refused
+        beyond 1e-12 outside it."""
         x_arr = np.asarray(x, dtype=float)
         reach = 1.0 + self.eps
         # fmin/fmax skip NaN, which passes through; the initial values let
@@ -204,7 +205,9 @@ class MetricChange:
         if (np.fmin.reduce(x_arr, axis=None, initial=np.inf) < -bound
                 or np.fmax.reduce(x_arr, axis=None, initial=-np.inf) > bound):
             raise DomainError(f"metric change defined on [-{reach}, {reach}]")
-        return x_arr
+        # into a new array: a 0-d clip returns a numpy scalar, which has no
+        # buffer to work in
+        return np.clip(x_arr, -reach, reach, out=np.empty_like(x_arr))
 
     def h(self, x):
         """h(x); vectorized; h(-1) = -1, h(0) = 0, h(1) = 1.
@@ -212,25 +215,23 @@ class MetricChange:
         For eps > 0 the metric is smooth up to +-(1 + eps) and h extends
         there; for eps = 0 the domain is exactly [-1, 1].
         """
-        x_arr = self._within_reach(x)
+        y = self._within_reach(x)
         reach = 1.0 + self.eps
-        if self._is_arcsin:
-            # clip into a new array (a 0-d clip returns a numpy scalar,
-            # which has no buffer to work in) and finish in place
-            y = np.clip(x_arr, -reach, reach, out=np.empty_like(x_arr))
+        if self._is_arcsin:  # in place
             np.divide(y, reach, out=y)
             np.arcsin(y, out=y)
             np.divide(y, self._asin_scale, out=y)
         else:
-            x_arr = np.clip(x_arr, -reach, reach)
-            y = (np.sign(x_arr) * self._beta.mass(np.abs(x_arr), reach)
-                 / self._f_reach)
+            y = np.sign(y) * self._beta.mass(np.abs(y), reach) / self._f_reach
         return float(y) if y.ndim == 0 else y
 
     def h_prime(self, x):
-        """h'(x) = b ((1 + eps)^2 - x^2)^(-p); vectorized, on h's domain."""
-        x_arr = self._within_reach(x)
-        d = self.b * ((1.0 + self.eps) ** 2 - x_arr * x_arr) ** (-self._p)
+        """h'(x) = b ((1 + eps)^2 - x^2)^(-p); vectorized, on h's domain,
+        clipped as h clips it; +inf, the one-sided limit, at +-(1 + eps)."""
+        x_arr, reach = self._within_reach(x), 1.0 + self.eps
+        base = np.where(np.abs(x_arr) == reach, 0.0, reach ** 2 - x_arr * x_arr)
+        with np.errstate(divide="ignore"):
+            d = self.b * base ** (-self._p)
         return float(d) if d.ndim == 0 else d
 
     def h_inv(self, y):

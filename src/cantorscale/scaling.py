@@ -17,12 +17,13 @@ exponent and the critical-point asymmetry from the same cylinder data.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
 
-from .branches import Word, apply_branches, cylinder, partition_levels
+from .branches import Word, _refinement, apply_branches, cylinder
 from .errors import ConvergenceError, DomainError
 from .families import MapFamily
 from .symbolic import DualPoint, ZEROS
@@ -129,11 +130,9 @@ def scaling_graph(family: MapFamily, eps: float, depth: int) -> np.ndarray:
     continuity on the dual Cantor set.  Entry ``k`` has ``x = k / 2^(depth+1)``
     and the word ``format(k, f"0{depth+1}b")[::-1]``.
     """
-    dlo, dhi = family.domain
-    levels = partition_levels(family, eps, depth)
-    # the domain is the parent of level 0
-    parent_len = levels[-2].lengths if depth else np.asarray([dhi - dlo])
-    child_len = levels[-1].lengths
+    # the last two levels (the domain above level 0), each freed once read
+    levels = deque(_refinement(family, eps, depth), maxlen=2)
+    parent_len, child_len = levels.popleft().lengths, levels.pop().lengths
     if not np.all(parent_len > 0.0):
         raise ConvergenceError(f"scaling_graph: depth {depth} divides by a "
                                f"level-{depth - 1} cell of length 0")

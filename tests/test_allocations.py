@@ -36,6 +36,28 @@ def test_partition_levels_allocates_only_its_levels():
         assert peak <= 1.2 * level_bytes, family
 
 
+#: the endpoint bytes of the depth-19 partition, 2 x 2^20 float64
+DEPTH_19_BYTES = 2 * 2**20 * 8
+
+
+def test_partition_holds_only_the_last_level_and_its_parent():
+    peak, part = _peak_bytes(lambda: cs.partition(cs.Quadratic(), 0.2, 19))
+    assert part.los.nbytes + part.his.nbytes == DEPTH_19_BYTES
+    # the last level and the one it is refined from
+    assert peak <= 1.6 * DEPTH_19_BYTES
+
+
+def test_hd_estimate_drops_the_parent_before_the_last_root():
+    peak, _ = _peak_bytes(lambda: cs.hd_estimate(cs.Quadratic(), 0.2, 19))
+    assert peak <= 1.85 * DEPTH_19_BYTES
+
+
+def test_scaling_graph_drops_each_level_once_its_lengths_are_read():
+    peak, s = _peak_bytes(lambda: cs.scaling_graph(cs.Quadratic(), 0.2, 19))
+    assert s.nbytes == DEPTH_19_BYTES // 2
+    assert peak <= 1.85 * DEPTH_19_BYTES
+
+
 def test_pressure_root_works_in_one_buffer_over_half_a_mirrored_level():
     level = cs.partition(cs.Quadratic(), 0.3, 14)
     peak, _ = _peak_bytes(lambda: _solve_delta(level))

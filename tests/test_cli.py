@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -178,6 +179,18 @@ def test_depth_15_partition_csv_sha256(tmp_path, spec, eps, digest):
                               "epsilon": eps, "depth": 15}) == 0
     data = (tmp_path / "partition.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_the_mirrored_half_is_copied_without_sendfile(tmp_path, monkeypatch):
+    # os.sendfile is missing on Windows and takes only a socket target on
+    # macOS; the spilled half must reach the CSV without it
+    monkeypatch.delattr(os, "sendfile", raising=False)
+    assert run_cli(tmp_path, {"command": "partition",
+                              "family": {"kind": "quadratic"},
+                              "epsilon": 0.3, "depth": 15}) == 0
+    data = (tmp_path / "partition.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "a738cd584eca9a22a0decc3d7e9b5139ee5ddbe7c98ae4a1916e06dc1f63ac85")
 
 
 @pytest.mark.parametrize("spec,eps,digest", [
@@ -409,6 +422,18 @@ def test_distortion_check_command(tmp_path):
     assert rc == 0
     data = json.loads((tmp_path / "distortion_check.json").read_text())
     assert data["passed"] == data["samples"] == 300
+
+
+def test_distortion_check_counts_the_samples_it_drops(tmp_path):
+    # at gamma = 40 the boundary distance empties some eta_1 cells, and a
+    # sample drawn in one is dropped, not redrawn
+    rc = run_cli(tmp_path, {"command": "distortion-check",
+                            "family": {"kind": "gamma_power", "gamma": 40.0},
+                            "epsilon": 0.5, "samples": 300})
+    assert rc == 0
+    data = json.loads((tmp_path / "distortion_check.json").read_text())
+    assert data["passed"] == data["samples"] == 159
+    assert data["dropped"] == 300 - 159
 
 
 def test_jump_report_command(tmp_path):

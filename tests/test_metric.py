@@ -132,6 +132,20 @@ def test_h_edges(gamma, eps):
                 _arcsin_h(m, x)).view(np.uint64)
 
 
+@pytest.mark.parametrize("gamma,eps", [(2.0, 0.0), (3.0, 0.2)])
+def test_h_prime_clips_into_the_reach_as_h_does(gamma, eps):
+    # h' = b ((1+eps)^2 - x^2)^(-p) tends to +inf at the reach; the slack
+    # past it that h accepts and clips gives that limit, with no warning
+    m, reach = cs.MetricChange(gamma, eps), 1.0 + eps
+    for x in (reach, -reach, reach + 5e-13, -reach - 5e-13):
+        assert m.h_prime(x) == math.inf
+    assert np.array_equal(m.h_prime(np.asarray([-reach - 5e-13, 0.0, reach])),
+                          [math.inf, m.h_prime(0.0), math.inf])
+    inside = np.nextafter(reach, 0.0)
+    assert m.h_prime(-inside) == m.h_prime(inside) < math.inf
+    assert np.isnan(m.h_prime(np.asarray([math.nan, reach])))[0]
+
+
 def test_metric_requires_gamma_above_one():
     for gamma in (1.0, math.inf, math.nan):
         with pytest.raises(cs.DomainError):

@@ -42,6 +42,8 @@ MUTATIONS = [
      "g * (g - 1.0) * (2.0 + eps)", "g * (2.0 + eps)"),
     ("k3-near-end", "geometry",
      "max(-a_pt, d_pt)", "min(-a_pt, d_pt)"),
+    ("gap-parent-is-the-level", "geometry",
+     "parent_len = parent.lengths", "parent_len = level.lengths[0::2]"),
     ("residual-tol", "dimension",
      "_RESIDUAL_TOL = 1e-10", "_RESIDUAL_TOL = 1e-7"),
     ("power-clamp-abs", "families",
