@@ -23,7 +23,14 @@ refuses Tent, as the conjugate-map functions do.
 
 Exit status: 0 success, 1 validation failure, 2 numerical non-convergence,
 as when dimension-curve meets an eps whose dimension defect 1 - delta
-rounds to 0.
+rounds to 0.  distortion-check at eps = 0 is refused with the config
+(exit 1) on every family but Tent, whose f' does not vanish.
+
+``main(argv)`` may be called many times in one process, as the tests,
+``tools/reach.py`` and the benchmark do: each run reads and checks its
+config afresh and carries nothing to the next.  Only the argument parser,
+which parsing leaves as it was, is built once, on the first call.
+
 Numbers are written with Python's shortest round-trip decimal rendering,
 so a fixed config and seed produce byte-identical artifacts.  CSV cells
 hold the bytes ``repr`` gives, made by ``_decimal`` with one digit search
@@ -37,6 +44,7 @@ A non-finite CSV cell exits 2, naming its column, and leaves no CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shutil
@@ -85,14 +93,21 @@ def _fmt(x) -> str:
 
 def _write_json(path: Path, payload: dict) -> None:
     # numpy scalars are written as the Python numbers they hold; NaN and inf
-    # are not JSON, so a field that holds one fails the run, by name
-    for key, value in payload.items():
-        try:
-            json.dumps(value, allow_nan=False, default=lambda obj: obj.item())
-        except ValueError:
-            raise ConvergenceError(f"field {key!r} is not finite") from None
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=lambda obj: obj.item()) + "\n")
+    # are not JSON, so a field that holds one fails the run, by name: the
+    # fields are encoded one by one, in payload order, only once the whole
+    # payload is refused
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda obj: obj.item())
+    except ValueError:
+        for key, value in payload.items():
+            try:
+                json.dumps(value, allow_nan=False,
+                           default=lambda obj: obj.item())
+            except ValueError:
+                raise ConvergenceError(f"field {key!r} is not finite") from None
+        raise
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header: list[str], chunks, spill=None) -> None:
@@ -208,11 +223,24 @@ class Experiment:
                 or Path(self.prefix).name != self.prefix):
             raise ConfigError("key 'output': expected a plain file name, "
                               f"got {self.prefix!r}")
+        # at eps = 0 the depth-1 cylinders close on the critical point, where
+        # f' of every family but the piecewise-linear tent is 0, so the
+        # distortion constants have no lower bound on f'
+        if (self.command == "distortion-check" and self.eps == 0.0
+                and not self.family.piecewise_linear):
+            raise ConfigError(f"key 'epsilon': distortion-check requires "
+                              f"eps > 0 for {self.family.kind}, whose f' is 0 "
+                              f"at the critical point")
         self.out_dir = out_dir
 
-    def path(self, suffix: str) -> Path:
+    @functools.cached_property
+    def _made_out_dir(self) -> Path:
+        """``out_dir``, made when the run asks for its first artifact path."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.out_dir / f"{self.prefix}{suffix}"
+        return self.out_dir
+
+    def path(self, suffix: str) -> Path:
+        return self._made_out_dir / f"{self.prefix}{suffix}"
 
     # -- commands ---------------------------------------------------------
 
@@ -379,13 +407,20 @@ class Experiment:
                 f"{len(results)} suites")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first run of the process: parsing
+    leaves it as it was, so every later run shares it."""
     parser = argparse.ArgumentParser(
         prog="cantorscale",
         description="Cantor-set geometry experiments for unimodal map families")
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="artifact output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = json.loads(Path(args.config).read_text())

@@ -108,17 +108,23 @@ def gap_geometry(family: MapFamily, eps: float,
                  depth: int) -> GapGeometrySummary:
     """Aggregate gap and child ratios over all words of length <= depth."""
     min_gap, max_gap, min_child = math.inf, -math.inf, math.inf
-    # the children of parent j at level k - 1 sit at 2j and 2j + 1 of level k
+    # the children of parent j at level k - 1 sit at 2j and 2j + 1 of level k.
+    # Level k - 1 goes once its lengths are read, the gap ratio is formed in
+    # r0's buffer, and the ratios go before the stream refines level k + 1
     for parent, level in pairwise(_refinement(family, eps, depth)):
         parent_len = parent.lengths
-        lo0, lo1 = level.los[0::2], level.los[1::2]
-        hi0, hi1 = level.his[0::2], level.his[1::2]
-        r0 = (hi0 - lo0) / parent_len
-        r1 = (hi1 - lo1) / parent_len
-        g = np.maximum(1.0 - r0 - r1, 0.0)
+        del parent
+        r0 = np.subtract(level.his[0::2], level.los[0::2])
+        r0 /= parent_len
+        r1 = np.subtract(level.his[1::2], level.los[1::2])
+        r1 /= parent_len
+        min_child = min(min_child, float(r0.min()), float(r1.min()))
+        g = np.subtract(1.0, r0, out=r0)   # 1 - r0 - r1, clipped at 0
+        g -= r1
+        np.maximum(g, 0.0, out=g)
         min_gap = min(min_gap, float(g.min()))
         max_gap = max(max_gap, float(g.max()))
-        min_child = min(min_child, float(r0.min()), float(r1.min()))
+        del parent_len, r0, r1, g
 
     return GapGeometrySummary(depth=depth, min_gap_ratio=min_gap,
                               max_gap_ratio=max_gap,

@@ -58,6 +58,12 @@ def test_scaling_graph_drops_each_level_once_its_lengths_are_read():
     assert peak <= 1.85 * DEPTH_19_BYTES
 
 
+def test_gap_geometry_drops_each_pair_before_the_next_level_is_refined():
+    # the last level with its parent's lengths and two ratio arrays
+    peak, _ = _peak_bytes(lambda: cs.gap_geometry(cs.Quadratic(), 0.2, 19))
+    assert peak <= 1.85 * DEPTH_19_BYTES
+
+
 def test_pressure_root_works_in_one_buffer_over_half_a_mirrored_level():
     level = cs.partition(cs.Quadratic(), 0.3, 14)
     peak, _ = _peak_bytes(lambda: _solve_delta(level))

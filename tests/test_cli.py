@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -358,6 +360,24 @@ def test_tent_distortion_check_runs_at_eps_zero(tmp_path):
     assert data["worst_margin"] == 1.0
 
 
+@pytest.mark.parametrize("family", [
+    {"kind": "quadratic"}, {"kind": "gamma_power", "params": {"gamma": 3}},
+    {"kind": "asym_quadratic", "params": {"beta": 0.3}},
+    # figure6's eps range is [0, 0], so its distortion-check never runs
+    {"kind": "figure6", "params": {"c": -0.03}}])
+def test_distortion_check_at_eps_zero_is_refused_with_the_config(
+        tmp_path, capsys, monkeypatch, family):
+    # f' is 0 at the critical point, which the depth-1 cylinders close on:
+    # the config is refused before the distortion suite is reached
+    monkeypatch.setattr(cantorscale.geometry, "distortion_suite", None)
+    assert run_cli(tmp_path, {"command": "distortion-check",
+                              "family": family, "epsilon": 0.0,
+                              "samples": 50, "depth": 12}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'epsilon':") and "eps > 0" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("cfg,status,message,written", [
     ([{"command": "partition"}], 1, "error: config must be a JSON object",
      ["cfg.json"]),
@@ -694,6 +714,113 @@ def test_a_non_finite_json_field_exits_2_naming_it(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("non-convergence:") and "'band'" in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_the_first_non_finite_json_field_in_payload_order_is_named(
+        tmp_path, capsys, monkeypatch):
+    # the encoder meets 'band' first, as it sorts the keys; the message
+    # names 'slope', the first of the two in the payload
+    fit = cantorscale.GapFit(eps=[0.1, 0.2], leading_ratios=[0.3, 0.4],
+                             slope=math.nan, band=(1.0, math.inf))
+    monkeypatch.setattr(cantorscale.geometry, "asymptotic_gap_fit",
+                        lambda *args, **kwargs: fit)
+    assert run_cli(tmp_path, {"command": "gap-fit",
+                              "family": {"kind": "quadratic"},
+                              "epsilon_grid": [0.1, 0.2]}) == 2
+    assert capsys.readouterr().err == (
+        "non-convergence: field 'slope' is not finite\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+#: the help text and the usage error of the parser as first written, at 80
+#: columns
+HELP = """usage: cantorscale [-h] --config CONFIG [--out OUT]
+
+Cantor-set geometry experiments for unimodal map families
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  JSON config path
+  --out OUT        artifact output directory
+"""
+USAGE_ERROR = """usage: cantorscale [-h] --config CONFIG [--out OUT]
+cantorscale: error: the following arguments are required: --config
+"""
+
+
+def _exit_of(argv):
+    """SystemExit code, stdout and stderr of an in-process run that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as stop:
+        main(argv)
+    return stop.value.code, out.getvalue(), err.getvalue()
+
+
+def test_help_and_usage_error_stay_the_same_on_every_run(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        assert _exit_of(["--help"]) == (0, HELP, "")
+        assert _exit_of([]) == (2, "", USAGE_ERROR)
+        assert _exit_of(["--out", str(tmp_path)]) == (2, "", USAGE_ERROR)
+        assert run_cli(tmp_path, {"command": "metric-check",
+                                  "family": {"kind": "quadratic"}}) == 0
+
+
+#: one config of each ending: a JSON artifact, a CSV artifact, a config
+#: refused (exit 1) and a run that does not converge (exit 2)
+SEQUENCE = {
+    "json": {"command": "metric-check",
+             "family": {"kind": "gamma_power", "params": {"gamma": 3}},
+             "epsilon": 0.1},
+    "csv": {"command": "partition", "family": {"kind": "quadratic"},
+            "epsilon": 0.2, "depth": 6},
+    "refused": {"command": "distortion-check",
+                "family": {"kind": "quadratic"}, "depth": 6},
+    "unconverged": {"command": "jump-report", "family": {"kind": "quadratic"},
+                    "dual_point": "0^inf|10.", "depth": 4},
+}
+
+
+def _outcome(rc, out, err, out_dir):
+    """A run's exit status, stdout, stderr and ``{name: bytes}`` of its
+    ``--out``, None where the run made none."""
+    files = ({p.name: p.read_bytes() for p in out_dir.iterdir()}
+             if out_dir.exists() else None)
+    return rc, out, err, files
+
+
+def test_runs_in_one_process_match_each_config_run_alone(tmp_path):
+    # each config alone, in a fresh interpreter of its own
+    src = Path(cantorscale.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    children = {}
+    for name, cfg in SEQUENCE.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        children[name] = subprocess.Popen(
+            [sys.executable, "-m", "cantorscale.cli",
+             "--config", str(tmp_path / f"{name}.json"),
+             "--out", str(tmp_path / "alone" / name)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    alone = {}
+    for name, child in children.items():
+        out, err = child.communicate(timeout=120)
+        alone[name] = _outcome(child.returncode, out, err,
+                               tmp_path / "alone" / name)
+    assert [alone[name][0] for name in SEQUENCE] == [0, 0, 1, 2]
+    # then alternated in this process, each into an --out of its own, one
+    # or two levels below a directory that exists
+    order = ["json", "refused", "csv", "unconverged", "csv", "json",
+             "unconverged", "refused", "json"]
+    for k, name in enumerate(order):
+        out_dir = tmp_path / f"run{k}" / ("a/b" if k % 2 else "")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["--config", str(tmp_path / f"{name}.json"),
+                       "--out", str(out_dir)])
+        assert _outcome(rc, out.getvalue(), err.getvalue(),
+                        out_dir) == alone[name], (k, name)
 
 
 @pytest.mark.parametrize("cfg,message", [

@@ -70,6 +70,8 @@ MUTATIONS = [
     ("fused-cells-offset", "cli",
      "for part in (signs, bodies)]",
      "for part in (signs, np.roll(bodies, n, axis=0))]"),
+    ("json-encode-allows-nan", "cli",
+     "sort_keys=True, allow_nan=False", "sort_keys=True, allow_nan=True"),
 ]
 
 
